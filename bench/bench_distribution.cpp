@@ -7,16 +7,14 @@
 // Simulates both: document partitioning (independent MQP replicas processing
 // disjoint document streams — aggregate throughput) and subscription
 // partitioning (per-partition structure size; every document visits all
-// partitions).
+// partitions). The document axis, measured with real shard threads and
+// processes, is bench_pipeline's shard sweep over IngestPipeline.
 
-#include <atomic>
 #include <cstdio>
 #include <memory>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "src/mqp/aes_matcher.h"
-#include "src/mqp/parallel_pool.h"
 #include "src/mqp/processor.h"
 
 using xymon::bench::FillMatcher;
@@ -82,48 +80,6 @@ int main() {
     printf(
         "(per-partition memory drops ~linearly; per-machine match cost\n"
         "stays roughly flat => 'a very scalable system', §4.2)\n");
-  }
-
-  // Axis 1, measured: real worker threads, each with a full AES replica,
-  // documents sheeted round-robin (ParallelMqpPool).
-  {
-    unsigned cores = std::thread::hardware_concurrency();
-    printf(
-        "\n-- document partitioning, measured with threads (%u core%s "
-        "available) --\n",
-        cores, cores == 1 ? "" : "s");
-    printf("%10s %16s %10s\n", "threads", "docs/sec", "scaling");
-    params.card_c = 200'000;  // Keep replica build time reasonable.
-    auto docs = WorkloadGenerator(params).GenerateDocuments(30'000);
-    double base = 0;
-    for (size_t threads : {1ul, 2ul, 4ul, 8ul}) {
-      std::atomic<uint64_t> sink{0};
-      xymon::mqp::ParallelMqpPool pool(
-          threads, [&sink](const xymon::mqp::MqpNotification&) { ++sink; });
-      {
-        WorkloadGenerator gen(params);
-        xymon::mqp::ComplexEventId id = 0;
-        for (const auto& events : gen.GenerateComplexEvents()) {
-          (void)pool.Register(id++, events);
-        }
-      }
-      double micros = xymon::bench::TimeMicros([&] {
-        for (uint64_t i = 0; i < docs.size(); ++i) {
-          xymon::mqp::AlertMessage alert;
-          alert.docid = i;
-          alert.events = docs[i];
-          pool.Submit(std::move(alert));
-        }
-        pool.Flush();
-      });
-      double rate = docs.size() / micros * 1e6;
-      if (threads == 1) base = rate;
-      printf("%10zu %16.0f %9.1fx\n", threads, rate, rate / base);
-    }
-    printf(
-        "(scaling is bounded by the available cores — on a single-core\n"
-        "host extra threads only add handoff overhead; the paper's cluster\n"
-        "ran one MQP per machine, which the first table extrapolates)\n");
   }
   return 0;
 }

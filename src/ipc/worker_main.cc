@@ -121,10 +121,8 @@ class WorkerRuntime {
     alerters::UrlAlerter::Options url_options{hello_.use_trie_prefixes != 0};
     shard_ = std::make_unique<system::PipelineShard>(&classifier_, url_options);
     shard_->warehouse.set_max_parse_failures(hello_.max_parse_failures);
-    if (hello_.num_shards > 1) {
-      dtd_registry_ = std::make_unique<RemoteDtdRegistry>(fd_, &pending_);
-      shard_->warehouse.set_dtd_registry(dtd_registry_.get());
-    }
+    dtd_registry_ = std::make_unique<RemoteDtdRegistry>(fd_, &pending_);
+    shard_->warehouse.set_dtd_registry(dtd_registry_.get());
     if (!hello_.faults.empty()) {
       shard_->ingest_stage = std::make_unique<system::FaultyIngestStage>(
           std::move(shard_->ingest_stage), &injector_);

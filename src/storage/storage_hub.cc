@@ -239,8 +239,8 @@ Result<std::unique_ptr<StorageHub>> StorageHub::Open(const Options& options) {
   return hub;
 }
 
-void StorageHub::ReleasePartitions() {
-  for (auto& partition : partitions_) partition.reset();
+void StorageHub::ReleasePartition(size_t index) {
+  partitions_[index].reset();
   released_ = true;
 }
 

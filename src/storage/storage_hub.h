@@ -110,15 +110,15 @@ class StorageHub {
     return PartitionPath(options_.partitioned_path, generation_, index);
   }
 
-  /// Closes every partition map (partition(i) becomes nullptr) while keeping
-  /// the flat stores and the manifest machinery. Process-mode handoff
-  /// (DESIGN.md §14): the supervisor harvests what it needs from the
-  /// recovered partitions, releases them, and each worker process opens its
-  /// own partition file exclusively. ReopenPartition is refused afterwards —
-  /// the workers own the files.
-  void ReleasePartitions();
+  /// Closes partition `index`'s map (partition(index) becomes nullptr) while
+  /// keeping the flat stores and the manifest machinery. Process-mode
+  /// handoff (DESIGN.md §14): the supervisor harvests what it needs from
+  /// the recovered partition, releases it, and the shard's worker process
+  /// opens the partition file exclusively. ReopenPartition is refused
+  /// afterwards — the workers own the files.
+  void ReleasePartition(size_t index);
 
-  /// True once ReleasePartitions() ran (worker processes own the files).
+  /// True once a partition was released (worker processes own the files).
   bool partitions_released() const { return released_; }
 
   /// Durability knobs every store was opened with — forwarded to worker

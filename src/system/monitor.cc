@@ -132,19 +132,17 @@ XylemeMonitor::XylemeMonitor(const Clock* clock, const Options& options)
   }
   note(users_.AttachStore(hub_->store("users")));
   note(manager_.AttachStore(hub_->store("subscriptions")));
-  // Process mode: the workers' detection structures mirror the manager's —
-  // replay every recovered subscription into the fleet (and the replay log,
-  // so later respawns get them too). Names come from the subscription text,
-  // so replay order cannot shift identities.
-  if (pipeline_.process_mode()) {
-    for (const std::string& name : manager_.subscription_names()) {
-      const std::string* text = manager_.subscription_text(name);
-      if (text == nullptr) continue;
-      std::vector<std::string> recipients =
-          manager_.subscription_recipients(name);
-      note(pipeline_.ReplicateSubscribe(
-          *text, recipients.empty() ? "" : recipients[0], clock_->Now()));
-    }
+  // Replicas outside this process (worker processes) mirror the manager's
+  // — replay every recovered subscription into them (and into their replay
+  // log, so later respawns get them too). Names come from the subscription
+  // text, so replay order cannot shift identities.
+  for (const std::string& name : manager_.subscription_names()) {
+    const std::string* text = manager_.subscription_text(name);
+    if (text == nullptr) continue;
+    std::vector<std::string> recipients =
+        manager_.subscription_recipients(name);
+    note(pipeline_.Replicate(ReplicaCommand::Subscribe(
+        *text, recipients.empty() ? "" : recipients[0], clock_->Now())));
   }
 }
 
@@ -188,14 +186,10 @@ Result<std::string> XylemeMonitor::SubscribeAs(const std::string& user_name,
                                                const std::string& text) {
   std::lock_guard<std::mutex> lock(api_mutex_);
   auto result = manager_.SubscribeAs(user_name, text);
-  if (result.ok() && pipeline_.process_mode()) {
+  if (result.ok()) {
     std::optional<manager::User> user = users_.Find(user_name);
-    Status st = pipeline_.ReplicateSubscribe(
-        text, user.has_value() ? user->email : "", clock_->Now());
-    // A failed broadcast means a worker died mid-command; its shard is
-    // quarantined and the replay log carries the subscription — restart
-    // now so the next batch sees a full fleet.
-    if (!st.ok()) MaybeRestartShardsLocked();
+    ReplicateLocked(ReplicaCommand::Subscribe(
+        text, user.has_value() ? user->email : "", clock_->Now()));
   }
   return result;
 }
@@ -204,9 +198,8 @@ Result<std::string> XylemeMonitor::Subscribe(const std::string& text,
                                              const std::string& email) {
   std::lock_guard<std::mutex> lock(api_mutex_);
   auto result = manager_.Subscribe(text, email);
-  if (result.ok() && pipeline_.process_mode()) {
-    Status st = pipeline_.ReplicateSubscribe(text, email, clock_->Now());
-    if (!st.ok()) MaybeRestartShardsLocked();
+  if (result.ok()) {
+    ReplicateLocked(ReplicaCommand::Subscribe(text, email, clock_->Now()));
   }
   return result;
 }
@@ -214,22 +207,23 @@ Result<std::string> XylemeMonitor::Subscribe(const std::string& text,
 Status XylemeMonitor::Unsubscribe(const std::string& name) {
   std::lock_guard<std::mutex> lock(api_mutex_);
   Status result = manager_.Unsubscribe(name);
-  if (result.ok() && pipeline_.process_mode()) {
-    Status st = pipeline_.ReplicateUnsubscribe(name, clock_->Now());
-    if (!st.ok()) MaybeRestartShardsLocked();
+  if (result.ok()) {
+    ReplicateLocked(ReplicaCommand::Unsubscribe(name, clock_->Now()));
   }
   return result;
 }
 
 void XylemeMonitor::AddDomainRule(warehouse::DomainClassifier::Rule rule) {
   std::lock_guard<std::mutex> lock(api_mutex_);
-  if (pipeline_.process_mode()) {
-    Status st = pipeline_.ReplicateDomainRule(rule.domain, rule.doctype_name,
-                                              rule.root_tag,
-                                              rule.url_substring);
-    if (!st.ok()) MaybeRestartShardsLocked();
-  }
+  ReplicateLocked(ReplicaCommand::DomainRule(rule));
   classifier_.AddRule(std::move(rule));
+}
+
+void XylemeMonitor::ReplicateLocked(const ReplicaCommand& command) {
+  // A failed broadcast means a worker died mid-command; its shard is
+  // quarantined and the replay log carries the command — restart now so the
+  // next batch sees a full fleet.
+  if (!pipeline_.Replicate(command).ok()) MaybeRestartShardsLocked();
 }
 
 void XylemeMonitor::Deliver(const DocJob& job, DocOutcome& outcome) {

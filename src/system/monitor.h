@@ -38,8 +38,8 @@ namespace xymon::system {
 class XylemeMonitor : private DeliverySink {
  public:
   struct Options {
-    /// Document-flow partitions (paper §4.2). 1 = the historical inline
-    /// monitor, bit-for-bit; N > 1 runs N shard worker threads.
+    /// Document-flow partitions (paper §4.2). 1 runs the shard on the caller
+    /// thread; N > 1 runs N shard worker threads (or processes).
     size_t num_shards = 1;
     /// ProcessCrawl batch size: how many due documents are fetched and
     /// pushed through the pipeline per batch. 0 = one batch per round
@@ -82,8 +82,9 @@ class XylemeMonitor : private DeliverySink {
     /// the process, with poison tracking and shard health accounting. Off
     /// restores the die-on-throw seed behaviour (bench baseline).
     bool fault_containment = true;
-    /// Batch deadline in ms (0 = none; multi-shard only): the watchdog
-    /// fails a batch stuck past it and quarantines the wedged shards.
+    /// Batch deadline in ms (0 = none): the watchdog fails a batch stuck
+    /// past it and quarantines the wedged shards. One thread shard runs its
+    /// slots inside the scatter and never waits.
     uint32_t batch_deadline_ms = 0;
     /// Consecutive contained stage failures before a URL is quarantined by
     /// the poison tracker (0 = never).
@@ -299,6 +300,9 @@ class XylemeMonitor : private DeliverySink {
   Status ProcessDeletionLocked(const std::string& url);
   void ProcessDocStatusEventsLocked(
       const std::vector<webstub::DocStatusEvent>& events);
+  /// Hands a subscription/domain-rule mutation to the pipeline's replicas
+  /// outside this process; a failed broadcast restarts the dead shards.
+  void ReplicateLocked(const ReplicaCommand& command);
   /// Fires the trigger events Deliver collected during the current batch —
   /// the post-batch epoch barrier. Notification-raised continuous queries
   /// therefore evaluate against the fully ingested batch, identically for

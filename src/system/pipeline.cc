@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "src/common/hash.h"
-#include "src/ipc/wire.h"
 #include "src/system/stage_faults.h"
 #include "src/system/worker_proxy.h"
-#include "src/xml/parser.h"
 
 namespace xymon::system {
 
@@ -20,6 +20,18 @@ using steady = std::chrono::steady_clock;
 uint64_t MicrosSince(steady::time_point t0, steady::time_point t1) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
+}
+
+/// Waits on `cv` for `ready`, until `deadline` if there is one. False means
+/// the deadline passed first.
+template <typename Pred>
+bool WaitUntil(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+               const std::optional<steady::time_point>& deadline, Pred ready) {
+  if (!deadline.has_value()) {
+    cv.wait(lock, ready);
+    return true;
+  }
+  return cv.wait_until(lock, *deadline, ready);
 }
 
 // Default stage adapters: thin seams over the shard's own components.
@@ -98,26 +110,65 @@ PipelineShard::PipelineShard(const warehouse::DomainClassifier* classifier,
       detect_stage(std::make_unique<AlerterDetectStage>(&alert_pipeline)),
       match_stage(std::make_unique<MqpMatchStage>(&mqp)) {}
 
-// Aggregated read view over every shard's warehouse, re-sorted by DOCID —
+ReplicaCommand ReplicaCommand::Subscribe(std::string_view text,
+                                         std::string_view email,
+                                         Timestamp now) {
+  ReplicaCommand command;
+  command.now = now;
+  command.text = text;
+  command.email = email;
+  return command;
+}
+
+ReplicaCommand ReplicaCommand::Unsubscribe(std::string_view name,
+                                           Timestamp now) {
+  ReplicaCommand command;
+  command.kind = Kind::kUnsubscribe;
+  command.now = now;
+  command.name = name;
+  return command;
+}
+
+ReplicaCommand ReplicaCommand::DomainRule(
+    const warehouse::DomainClassifier::Rule& rule) {
+  ReplicaCommand command;
+  command.kind = Kind::kDomainRule;
+  command.rule = &rule;
+  return command;
+}
+
+void BatchState::Publish(size_t slot, DocOutcome outcome) {
+  bool batch_done;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (!abandoned) {
+      outcomes[slot] = std::move(outcome);
+      done[slot] = 1;
+    }
+    batch_done = --remaining == 0;
+  }
+  // An abandoned batch's owner is long gone; the notify is harmless (the
+  // BatchState lives as long as any shard still references it).
+  if (batch_done) cv.notify_all();
+}
+
+// Aggregated read view over every shard's partition, re-sorted by DOCID —
 // with centrally allocated ids that is submission order, so continuous
 // queries see the same binding order at every shard count and on every
-// substrate (one shard, N threads, N worker processes — the RemoteSource
-// below promises the same order). The single-shard warehouse iterates its
-// entries in hash order, which only coincides with submission order by
-// accident; sorting here is what makes the order a contract.
+// substrate. A single warehouse iterates its entries in hash order, which
+// only coincides with submission order by accident; sorting here is what
+// makes the order a contract.
 class IngestPipeline::ShardedSource : public warehouse::DocumentSource {
  public:
-  explicit ShardedSource(
-      const std::vector<std::unique_ptr<PipelineShard>>* shards)
-      : shards_(shards) {}
+  explicit ShardedSource(const IngestPipeline* pipeline)
+      : pipeline_(pipeline) {}
 
   std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>
   DocumentsInDomain(std::string_view domain) const override {
     std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>
         out;
-    for (const auto& shard : *shards_) {
-      auto part = shard->warehouse.DocumentsInDomain(domain);
-      out.insert(out.end(), part.begin(), part.end());
+    for (const auto& transport : pipeline_->transports_) {
+      transport->CollectDocuments(domain, &out);
     }
     std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
       return a.first->docid < b.first->docid;
@@ -126,74 +177,195 @@ class IngestPipeline::ShardedSource : public warehouse::DocumentSource {
   }
 
  private:
-  const std::vector<std::unique_ptr<PipelineShard>>* shards_;
+  const IngestPipeline* pipeline_;
 };
 
-// Process-mode read view: the documents live in the worker processes, so a
-// continuous-query collection is a kQueryDomain RPC to every worker, the
-// returned documents re-parsed (Parse∘Serialize is a fixpoint — lossless)
-// into supervisor-owned storage, merged DOCID-ordered. A down worker
-// contributes nothing — the query degrades to the live partitions, exactly
-// like a quarantined shard's slots degrade to Unavailable.
-class IngestPipeline::RemoteSource : public warehouse::DocumentSource {
+// The in-process substrate. With several shards, a worker thread drains a
+// FIFO queue of slots and checkpoint markers; markers ride the same queue,
+// so a shard checkpoints exactly at a batch boundary. The barrier waits on
+// the BatchState, not on queue emptiness, so a marker draining slowly on
+// one shard never blocks the other shards' batches. With one shard there
+// is no thread: the caller runs each slot inside Send, so an uncontained
+// throw leaves ProcessBatch.
+class IngestPipeline::ThreadTransport : public ShardTransport {
  public:
-  explicit RemoteSource(IngestPipeline* pipeline) : pipeline_(pipeline) {}
+  ThreadTransport(IngestPipeline* pipeline, size_t index)
+      : pipeline_(pipeline),
+        index_(index),
+        threaded_(pipeline->options_.shards > 1) {}
+  ~ThreadTransport() override { Stop(); }
 
-  std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>
-  DocumentsInDomain(std::string_view domain) const override {
-    // Pointers handed out by the previous call die here. The contract
-    // matches the warehouse's (valid until the next mutation); the query
-    // engine consumes them within one evaluation under the monitor's API
-    // serialization.
-    cache_.clear();
-    const std::string domain_str(domain);
-    for (auto& proxy : pipeline_->proxies_) {
-      Result<ipc::DomainDocsMsg> result = proxy->QueryDomain(domain_str);
-      if (!result.ok()) continue;  // worker down: degrade to live partitions
-      for (auto& doc : result->docs) {
-        auto parsed = xml::Parse(doc.doc_xml);
-        if (!parsed.ok()) continue;
-        auto owned = std::make_unique<OwnedDoc>();
-        owned->document = std::move(parsed.value());
-        owned->document.doctype_name = doc.doctype_name;
-        owned->document.dtd_url = doc.dtd_url;
-        warehouse::DocMeta& m = owned->meta;
-        m.docid = doc.meta.docid;
-        m.url = std::move(doc.meta.url);
-        m.filename = std::move(doc.meta.filename);
-        m.is_xml = doc.meta.is_xml != 0;
-        m.doctype_name = std::move(doc.meta.doctype_name);
-        m.dtd_url = std::move(doc.meta.dtd_url);
-        m.dtdid = doc.meta.dtdid;
-        m.domain = std::move(doc.meta.domain);
-        m.last_accessed = doc.meta.last_accessed;
-        m.last_updated = doc.meta.last_updated;
-        m.signature = doc.meta.signature;
-        m.status = static_cast<warehouse::DocStatus>(doc.meta.status);
-        cache_.push_back(std::move(owned));
+  Status Start(PipelineShard* shard) override {
+    shard_ = shard;
+    if (hub_ != nullptr) {
+      // Restart: reopen the partition from disk and recover the warehouse
+      // from it. The central DOCID map and the DTD registry already cover
+      // what it holds (the store is write-through, ids come from the
+      // registry), so nothing else is rebuilt.
+      XYMON_RETURN_IF_ERROR(hub_->ReopenPartition(index_));
+      XYMON_RETURN_IF_ERROR(
+          shard->warehouse.AttachStore(hub_->partition(index_)));
+    }
+    if (threaded_) {
+      stop_ = false;
+      worker_ = std::thread(&ThreadTransport::Loop, this);
+    }
+    return Status::OK();
+  }
+
+  void Stop() override {
+    if (!worker_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    // The join bounds the teardown: the worker drains its queue (leftover
+    // checkpoint markers complete with Unavailable, leftover documents
+    // belong to abandoned batches and are skipped) and exits. A stage
+    // wedged forever blocks here — a thread cannot be killed; a worker
+    // process (ShardMode::kProcess) can.
+    worker_.join();
+  }
+
+  Status Send(const std::shared_ptr<BatchState>& batch, size_t slot,
+              uint64_t docid_hint) override {
+    if (!threaded_) {
+      batch->Publish(slot, Run(*batch, slot, docid_hint));
+      return Status::OK();
+    }
+    const size_t limit = pipeline_->options_.queue_high_water_limit;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (limit > 0 && queue_.size() >= limit) {
+        // Backpressure: block until the worker drains. With a deadline the
+        // wait is bounded; a timeout is a watchdog verdict on the shard.
+        ++backpressure_waits_;
+        if (!WaitUntil(cv_, lock, batch->deadline,
+                       [&] { return queue_.size() < limit; })) {
+          return Status::DeadlineExceeded(
+              "batch deadline blown waiting for queue space on shard " +
+              std::to_string(index_));
+        }
       }
+      queue_.push_back(Item{batch, slot, docid_hint, nullptr});
+      queue_high_water_ =
+          std::max<uint64_t>(queue_high_water_, queue_.size());
     }
-    std::sort(cache_.begin(), cache_.end(),
-              [](const auto& a, const auto& b) {
-                return a->meta.docid < b->meta.docid;
-              });
-    std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>
-        out;
-    out.reserve(cache_.size());
-    for (const auto& owned : cache_) {
-      out.emplace_back(&owned->meta, &owned->document);
+    cv_.notify_one();
+    return Status::OK();
+  }
+
+  Status Checkpoint(const std::shared_ptr<CheckpointTicket>& ticket) override {
+    if (!threaded_) {
+      ticket->Complete(shard_->warehouse.CheckpointStorage());
+      return Status::OK();
     }
-    return out;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      queue_.push_back(Item{nullptr, 0, 0, ticket});
+    }
+    cv_.notify_one();
+    return Status::OK();
+  }
+
+  Status Attach(storage::StorageHub* hub,
+                const std::function<void(const warehouse::Warehouse&)>&
+                    recovered) override {
+    XYMON_RETURN_IF_ERROR(
+        shard_->warehouse.AttachStore(hub->partition(index_)));
+    hub_ = hub;
+    recovered(shard_->warehouse);
+    return Status::OK();
+  }
+
+  void CollectDocuments(
+      std::string_view domain,
+      std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>*
+          out) override {
+    auto part = shard_->warehouse.DocumentsInDomain(domain);
+    out->insert(out->end(), part.begin(), part.end());
+  }
+
+  uint64_t document_count() const override {
+    return shard_->warehouse.document_count();
+  }
+
+  void AddStats(PipelineStats* out) const override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    out->queue_high_water = std::max(out->queue_high_water, queue_high_water_);
+    out->backpressure_waits += backpressure_waits_;
   }
 
  private:
-  struct OwnedDoc {
-    warehouse::DocMeta meta;
-    xml::Document document;
+  /// A slot of a batch, or (ticket set) a checkpoint marker.
+  struct Item {
+    std::shared_ptr<BatchState> batch;
+    size_t slot;
+    uint64_t docid_hint;
+    std::shared_ptr<CheckpointTicket> ticket;
   };
 
-  IngestPipeline* pipeline_;
-  mutable std::vector<std::unique_ptr<OwnedDoc>> cache_;
+  DocOutcome Run(const BatchState& batch, size_t slot, uint64_t docid_hint) {
+    DocOutcome out;
+    ProcessDocJob(*shard_, batch.jobs[slot], docid_hint, batch.now,
+                  pipeline_->options_.containment, pipeline_->resolver_, &out);
+    return out;
+  }
+
+  void Loop() {
+    std::deque<Item> items;
+    while (true) {
+      bool stopping;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+        stopping = stop_;
+        if (queue_.empty()) return;  // stop requested, nothing queued
+        items.swap(queue_);
+      }
+      // The swap emptied the queue: wake any scatter blocked on
+      // backpressure.
+      cv_.notify_all();
+      for (Item& item : items) {
+        if (item.ticket != nullptr) {
+          // Queue order makes this a batch boundary: every document
+          // scattered before the marker has already been processed. Only
+          // this shard's later documents wait for the checkpoint; other
+          // shards keep going.
+          item.ticket->Complete(
+              stopping ? Status::Unavailable("shard restarting")
+                       : shard_->warehouse.CheckpointStorage());
+          continue;
+        }
+        BatchState& batch = *item.batch;
+        bool skip = stopping;
+        if (!skip) {
+          std::lock_guard<std::mutex> lock(batch.mutex);
+          skip = batch.abandoned;
+        }
+        batch.Publish(item.slot,
+                      skip ? DocOutcome() : Run(batch, item.slot,
+                                                item.docid_hint));
+      }
+      items.clear();
+    }
+  }
+
+  IngestPipeline* const pipeline_;
+  const size_t index_;
+  const bool threaded_;
+  PipelineShard* shard_ = nullptr;
+  /// Set by Attach; Start recovers a restarted shard from it.
+  storage::StorageHub* hub_ = nullptr;
+
+  mutable std::mutex mutex_;  // guards everything below
+  std::condition_variable cv_;
+  std::deque<Item> queue_;
+  bool stop_ = false;
+  uint64_t queue_high_water_ = 0;
+  uint64_t backpressure_waits_ = 0;
+  std::thread worker_;  // declared last: it runs over the members above
 };
 
 std::unique_ptr<PipelineShard> IngestPipeline::MakeShard() {
@@ -201,9 +373,7 @@ std::unique_ptr<PipelineShard> IngestPipeline::MakeShard() {
   auto shard = std::make_unique<PipelineShard>(options_.classifier,
                                                url_options);
   shard->warehouse.set_max_parse_failures(options_.max_parse_failures_per_url);
-  if (options_.shards > 1) {
-    shard->warehouse.set_dtd_registry(&dtd_registry_);
-  }
+  shard->warehouse.set_dtd_registry(&dtd_registry_);
   if (options_.stage_faults != nullptr) {
     shard->ingest_stage = std::make_unique<FaultyIngestStage>(
         std::move(shard->ingest_stage), options_.stage_faults);
@@ -221,55 +391,30 @@ IngestPipeline::IngestPipeline(const Options& options) : options_(options) {
   for (size_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(MakeShard());
   }
-  sharded_source_ = std::make_unique<ShardedSource>(&shards_);
+  sharded_source_ = std::make_unique<ShardedSource>(this);
+
+  // The one place the substrate is chosen; past here the pipeline speaks
+  // only to the ShardTransport seam.
+  std::shared_ptr<ReplayLog> replay_log;
   if (options_.shard_mode == ShardMode::kProcess) {
-    SpawnWorkers();
-  } else if (options_.shards > 1) {
-    for (auto& shard : shards_) {
-      shard->worker = std::thread(&IngestPipeline::WorkerLoop, this,
-                                  shard.get());
-    }
+    replay_log = std::make_shared<ReplayLog>();
   }
-}
-
-void IngestPipeline::SpawnWorkers() {
-  ShardWorkerProxy::Options popts;
-  popts.binary = options_.worker_binary;
-  popts.heartbeat_interval_ms = options_.worker_heartbeat_interval_ms;
-  popts.heartbeat_timeout_ms = options_.worker_heartbeat_timeout_ms;
-  popts.command_timeout_ms = options_.worker_command_timeout_ms;
-
-  ipc::HelloMsg hello;
-  hello.num_shards = static_cast<uint32_t>(shards_.size());
-  hello.use_trie_prefixes = options_.use_trie_prefixes ? 1 : 0;
-  hello.containment = options_.containment ? 1 : 0;
-  hello.max_parse_failures = options_.max_parse_failures_per_url;
-  if (options_.stage_faults != nullptr) {
-    for (const StageFaultSpec& f : options_.stage_faults->plan().faults) {
-      ipc::WireFault wf;
-      wf.stage = static_cast<uint8_t>(f.stage);
-      wf.kind = static_cast<uint8_t>(f.kind);
-      wf.nth = f.nth;
-      wf.stall_ms = f.stall_ms;
-      wf.url = f.url;
-      hello.faults.push_back(std::move(wf));
+  transports_.reserve(options_.shards);
+  for (size_t i = 0; i < options_.shards; ++i) {
+    if (replay_log != nullptr) {
+      ShardWorkerProxy::Supervision sup;
+      sup.dtd_id_for = [this](const std::string& dtd_url) {
+        return dtd_registry_.IdFor(dtd_url);
+      };
+      sup.on_down = [this](size_t shard_index, const std::string&) {
+        QuarantineShard(shard_index);
+      };
+      transports_.push_back(std::make_unique<ShardWorkerProxy>(
+          i, options_, replay_log, std::move(sup)));
+    } else {
+      transports_.push_back(std::make_unique<ThreadTransport>(this, i));
     }
-  }
-
-  proxies_.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    ShardWorkerProxy::Supervision sup;
-    sup.dtd_id_for = [this](const std::string& dtd_url) {
-      return dtd_registry_.IdFor(dtd_url);
-    };
-    sup.on_down = [this](size_t shard_index, const std::string&) {
-      QuarantineShard(shard_index);
-    };
-    proxies_.push_back(
-        std::make_unique<ShardWorkerProxy>(i, popts, std::move(sup)));
-    proxies_[i]->set_counter_shard(shards_[i].get());
-    hello.shard_index = static_cast<uint32_t>(i);
-    Status st = proxies_[i]->Spawn(hello);
+    Status st = transports_[i]->Start(shards_[i].get());
     if (!st.ok()) {
       // The ctor cannot fail: the shard starts quarantined, the owner reads
       // worker_status() before going live.
@@ -277,7 +422,13 @@ void IngestPipeline::SpawnWorkers() {
       QuarantineShard(i);
     }
   }
-  remote_source_ = std::make_unique<RemoteSource>(this);
+}
+
+IngestPipeline::~IngestPipeline() = default;
+
+bool IngestPipeline::IsQuarantined(size_t index) const {
+  std::lock_guard<std::mutex> lock(shards_[index]->mutex);
+  return shards_[index]->health == ShardHealth::kQuarantined;
 }
 
 void IngestPipeline::QuarantineShard(size_t index) {
@@ -286,18 +437,12 @@ void IngestPipeline::QuarantineShard(size_t index) {
   shard.health = ShardHealth::kQuarantined;
 }
 
-IngestPipeline::~IngestPipeline() {
-  for (auto& proxy : proxies_) {
-    proxy->Shutdown();
-  }
-  for (auto& shard : shards_) {
-    if (!shard->worker.joinable()) continue;
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      shard->stop = true;
-    }
-    shard->cv.notify_all();
-    shard->worker.join();
+void IngestPipeline::MarkStuck(size_t index) {
+  PipelineShard& shard = *shards_[index];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  if (shard.health != ShardHealth::kQuarantined) {
+    shard.health = ShardHealth::kQuarantined;
+    ++shard.deadline_failures;
   }
 }
 
@@ -306,7 +451,6 @@ size_t IngestPipeline::ShardFor(std::string_view url) const {
 }
 
 const warehouse::DocumentSource* IngestPipeline::document_source() const {
-  if (remote_source_ != nullptr) return remote_source_.get();
   return sharded_source_.get();
 }
 
@@ -413,403 +557,87 @@ void ProcessDocJob(PipelineShard& shard, const DocJob& job,
   merge(&shard.notify_counts, notify_delta);
 }
 
-void IngestPipeline::ProcessOne(PipelineShard& shard, const DocJob& job,
-                                uint64_t docid_hint, Timestamp now,
-                                DocOutcome* out) const {
-  ProcessDocJob(shard, job, docid_hint, now, options_.containment, resolver_,
-                out);
-}
-
-void IngestPipeline::WorkerLoop(PipelineShard* shard) {
-  std::deque<ShardWorkItem> batch;
-  bool stopping = false;
-  while (true) {
-    batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(shard->mutex);
-      shard->cv.wait(lock,
-                     [shard] { return shard->stop || !shard->queue.empty(); });
-      stopping = shard->stop;
-      if (shard->queue.empty()) return;  // stop requested, nothing queued
-      batch.swap(shard->queue);
-    }
-    // The swap emptied the queue: wake any scatter blocked on backpressure.
-    shard->cv.notify_all();
-    for (ShardWorkItem& item : batch) {
-      if (item.kind == ShardWorkItem::Kind::kCheckpoint) {
-        // Queue order makes this a batch boundary: every document scattered
-        // before the marker has already been processed. Only this shard's
-        // later documents wait for the checkpoint; other shards keep going.
-        item.ticket->Complete(
-            stopping ? Status::Unavailable("shard restarting")
-                     : shard->warehouse.CheckpointStorage());
-        continue;
-      }
-      BatchState& bs = *item.batch;
-      bool skip = stopping;
-      if (!skip) {
-        std::lock_guard<std::mutex> lock(bs.mutex);
-        skip = bs.abandoned;
-      }
-      DocOutcome out;
-      if (!skip) {
-        ProcessOne(*shard, bs.jobs[item.slot], item.docid_hint, item.now,
-                   &out);
-      }
-      bool batch_done;
-      {
-        std::lock_guard<std::mutex> lock(bs.mutex);
-        if (!bs.abandoned) {
-          bs.outcomes[item.slot] = std::move(out);
-          bs.done[item.slot] = 1;
-        }
-        batch_done = --bs.remaining == 0;
-      }
-      // An abandoned batch's owner is long gone; the notify is harmless
-      // (the BatchState lives as long as any queued item references it).
-      if (batch_done) bs.cv.notify_all();
-    }
-  }
-}
-
-void IngestPipeline::ProcessBatch(const std::vector<DocJob>& jobs,
-                                  Timestamp now, DeliverySink* sink,
-                                  std::vector<DocOutcome>* outcomes_out) {
-  if (!proxies_.empty()) {
-    auto state = std::make_shared<BatchState>();
-    state->jobs = jobs;
-    ProcessBatchProcess(std::move(state), now, sink, outcomes_out);
-    return;
-  }
-  if (shards_.size() == 1) {
-    ProcessBatchInline(jobs, now, sink, outcomes_out);
-    return;
-  }
-  auto state = std::make_shared<BatchState>();
-  state->jobs = jobs;
-  ProcessBatchSharded(std::move(state), now, sink, outcomes_out);
-}
-
-void IngestPipeline::ProcessBatch(std::vector<DocJob>&& jobs, Timestamp now,
+void IngestPipeline::ProcessBatch(std::vector<DocJob> jobs, Timestamp now,
                                   DeliverySink* sink,
                                   std::vector<DocOutcome>* outcomes_out) {
-  if (!proxies_.empty()) {
-    auto state = std::make_shared<BatchState>();
-    state->jobs = std::move(jobs);
-    ProcessBatchProcess(std::move(state), now, sink, outcomes_out);
-    return;
-  }
-  if (shards_.size() == 1) {
-    ProcessBatchInline(jobs, now, sink, outcomes_out);
-    return;
-  }
+  const size_t n = jobs.size();
   auto state = std::make_shared<BatchState>();
   state->jobs = std::move(jobs);
-  ProcessBatchSharded(std::move(state), now, sink, outcomes_out);
-}
-
-void IngestPipeline::ProcessBatchInline(const std::vector<DocJob>& jobs,
-                                        Timestamp now, DeliverySink* sink,
-                                        std::vector<DocOutcome>* outcomes_out) {
-  // Inline path: process and deliver per document, on the caller thread —
-  // exactly the monolithic monitor's interleaving (a notification-raised
-  // trigger for document i fires before document i+1 is ingested).
-  ++batches_;
-  documents_ += jobs.size();
-  PipelineShard& shard = *shards_[0];
-  std::vector<DocOutcome> outcomes(jobs.size());
-
-  // Poison verdicts are fixed at batch start (the scatter path decides them
-  // before any document of the batch is processed — mirror that here so the
-  // decision is identical for every shard count).
-  std::vector<uint8_t> poisoned(jobs.size(), 0);
-  if (options_.containment && !poisoned_.empty()) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      poisoned[i] = poisoned_.count(jobs[i].url) != 0;
-    }
+  state->now = now;
+  if (options_.containment && options_.batch_deadline_ms > 0) {
+    state->deadline =
+        steady::now() + std::chrono::milliseconds(options_.batch_deadline_ms);
   }
-
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    uint64_t hint = AssignDocid(jobs[i]);
-    if (poisoned[i]) {
-      ++poison_rejections_;
-      outcomes[i].failed = true;
-      outcomes[i].failed_stage = "poisoned";
-      outcomes[i].status = Status::ResourceExhausted(
-          jobs[i].url + " quarantined after repeated stage failures");
-    } else {
-      ProcessOne(shard, jobs[i], hint, now, &outcomes[i]);
-    }
-    if (sink != nullptr) sink->Deliver(jobs[i], outcomes[i]);
-  }
-  UpdateBatchAccounting(jobs, outcomes);
-  if (outcomes_out != nullptr) *outcomes_out = std::move(outcomes);
-}
-
-void IngestPipeline::ProcessBatchSharded(std::shared_ptr<BatchState> state,
-                                         Timestamp now, DeliverySink* sink,
-                                         std::vector<DocOutcome>* outcomes_out) {
-  const size_t n = state->jobs.size();
-  ++batches_;
-  documents_ += n;
   state->outcomes.resize(n);
   state->done.assign(n, 0);
   state->remaining = n;
-
-  const bool deadline_set =
-      options_.containment && options_.batch_deadline_ms > 0;
-  const steady::time_point deadline =
-      steady::now() + std::chrono::milliseconds(options_.batch_deadline_ms);
-
-  // A slot that never reaches a worker still decrements `remaining` (the
-  // barrier counts every slot exactly once: here or on the worker).
-  auto fail_slot = [&state](size_t i, const char* stage, Status st) {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->outcomes[i].failed = true;
-    state->outcomes[i].failed_stage = stage;
-    state->outcomes[i].status = std::move(st);
-    state->done[i] = 1;
-    --state->remaining;
-  };
+  ++batches_;
+  documents_ += n;
 
   // Scatter: pre-assign DOCIDs in submission order (what a 1-shard pipeline
-  // would allocate sequentially), then hand each job to the shard owning its
-  // URL — unless the URL is poisoned or the shard is down.
+  // would allocate sequentially), then hand each job to the transport of
+  // the shard owning its URL — unless the URL is poisoned or the shard is
+  // down. A slot that never reaches a shard is published failed here, so
+  // the barrier counts every slot exactly once. Poison verdicts only change
+  // after the gather, so they are fixed for the whole batch.
   for (size_t i = 0; i < n; ++i) {
     const DocJob& job = state->jobs[i];
-    uint64_t hint = AssignDocid(job);
+    const uint64_t hint = AssignDocid(job);
     if (options_.containment && poisoned_.count(job.url) != 0) {
       ++poison_rejections_;
-      fail_slot(i, "poisoned",
-                Status::ResourceExhausted(
-                    job.url + " quarantined after repeated stage failures"));
+      state->Publish(i, DocOutcome::Failure(
+                            "poisoned",
+                            Status::ResourceExhausted(
+                                job.url +
+                                " quarantined after repeated stage failures")));
       continue;
     }
-    PipelineShard& shard = *shards_[ShardFor(job.url)];
-    enum class ScatterFail { kNone, kShardDown, kBackpressureTimeout };
-    ScatterFail fail = ScatterFail::kNone;
-    {
-      std::unique_lock<std::mutex> lock(shard.mutex);
-      if (options_.containment &&
-          shard.health == ShardHealth::kQuarantined) {
-        fail = ScatterFail::kShardDown;
-      } else if (options_.queue_high_water_limit > 0 &&
-                 shard.queue.size() >= options_.queue_high_water_limit) {
-        // Backpressure: block until the worker drains. With a deadline the
-        // wait is bounded; a timeout is a watchdog verdict on the shard.
-        ++shard.backpressure_waits;
-        auto space = [&shard, this] {
-          return shard.queue.size() < options_.queue_high_water_limit;
-        };
-        bool got_space = true;
-        if (deadline_set) {
-          got_space = shard.cv.wait_until(lock, deadline, space);
-        } else {
-          shard.cv.wait(lock, space);
-        }
-        if (!got_space) {
-          shard.health = ShardHealth::kQuarantined;
-          ++shard.deadline_failures;
-          fail = ScatterFail::kBackpressureTimeout;
-        }
-      }
-      if (fail == ScatterFail::kNone) {
-        ShardWorkItem item;
-        item.batch = state;
-        item.slot = i;
-        item.docid_hint = hint;
-        item.now = now;
-        shard.queue.push_back(std::move(item));
-        shard.queue_high_water =
-            std::max<uint64_t>(shard.queue_high_water, shard.queue.size());
-      }
-    }
-    switch (fail) {
-      case ScatterFail::kNone:
-        shard.cv.notify_one();
-        break;
-      case ScatterFail::kShardDown:
-        fail_slot(i, "shard",
-                  Status::Unavailable("shard " +
-                                      std::to_string(ShardFor(job.url)) +
-                                      " quarantined"));
-        break;
-      case ScatterFail::kBackpressureTimeout:
-        ++deadline_exceeded_;
-        fail_slot(i, "deadline",
-                  Status::DeadlineExceeded(
-                      "batch deadline blown waiting for queue space on shard " +
-                      std::to_string(ShardFor(job.url))));
-        break;
+    const size_t idx = ShardFor(job.url);
+    Status st = IsQuarantined(idx)
+                    ? Status::Unavailable("shard " + std::to_string(idx) +
+                                          " quarantined")
+                    : transports_[idx]->Send(state, i, hint);
+    if (st.ok()) continue;
+    if (st.code() == StatusCode::kDeadlineExceeded) {
+      MarkStuck(idx);
+      ++deadline_exceeded_;
+      state->Publish(i, DocOutcome::Failure("deadline", std::move(st)));
+    } else {
+      state->Publish(i, DocOutcome::Failure("shard", std::move(st)));
     }
   }
 
   // Barrier: wait until every slot is accounted for — or, with a deadline,
   // until the watchdog gives up. Abandoning the batch under state->mutex
-  // makes late workers discard their results instead of writing into a
-  // vector the gather is about to move out of.
+  // makes late shards discard their results instead of writing into a
+  // vector the gather is about to move out of. Without a deadline a worker
+  // process still cannot hold the barrier forever: a wedged worker trips
+  // the heartbeat timeout, is SIGKILLed, and its death path publishes its
+  // slots.
   std::vector<DocOutcome> outcomes;
   std::set<size_t> stuck_shards;
   {
     std::unique_lock<std::mutex> lock(state->mutex);
-    auto drained = [&state] { return state->remaining == 0; };
-    bool completed = true;
-    if (deadline_set) {
-      completed = state->cv.wait_until(lock, deadline, drained);
-    } else {
-      state->cv.wait(lock, drained);
-    }
-    if (!completed) {
+    if (!WaitUntil(state->cv, lock, state->deadline,
+                   [&state] { return state->remaining == 0; })) {
       state->abandoned = true;
       for (size_t i = 0; i < n; ++i) {
         if (state->done[i]) continue;
-        state->outcomes[i].failed = true;
-        state->outcomes[i].failed_stage = "deadline";
-        state->outcomes[i].status =
-            Status::DeadlineExceeded("batch deadline exceeded (" +
-                                     std::to_string(options_.batch_deadline_ms) +
-                                     "ms)");
+        state->outcomes[i] = DocOutcome::Failure(
+            "deadline", Status::DeadlineExceeded(
+                            "batch deadline exceeded (" +
+                            std::to_string(options_.batch_deadline_ms) +
+                            "ms)"));
         ++deadline_exceeded_;
         stuck_shards.insert(ShardFor(state->jobs[i].url));
       }
     }
     outcomes = std::move(state->outcomes);
   }
-  for (size_t idx : stuck_shards) {
-    PipelineShard& shard = *shards_[idx];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.health != ShardHealth::kQuarantined) {
-      shard.health = ShardHealth::kQuarantined;
-      ++shard.deadline_failures;
-    }
-  }
+  for (size_t idx : stuck_shards) MarkStuck(idx);
 
   // Ordered gather: deliver in submission-slot order, independent of which
   // shard finished first.
-  if (sink != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      sink->Deliver(state->jobs[i], outcomes[i]);
-    }
-  }
-  UpdateBatchAccounting(state->jobs, outcomes);
-  if (outcomes_out != nullptr) *outcomes_out = std::move(outcomes);
-}
-
-void IngestPipeline::ProcessBatchProcess(std::shared_ptr<BatchState> state,
-                                         Timestamp now, DeliverySink* sink,
-                                         std::vector<DocOutcome>* outcomes_out) {
-  // The thread-mode contract on a different substrate: slots cross the wire
-  // to the worker process owning the URL, results come back on the proxies'
-  // reader threads and are published into the BatchState exactly like
-  // WorkerLoop publishes — the barrier and the ordered gather below are
-  // unchanged. A worker that dies mid-batch fails only its outstanding
-  // slots (the proxy's death path decrements `remaining` for them), so the
-  // barrier always releases.
-  const size_t n = state->jobs.size();
-  ++batches_;
-  documents_ += n;
-  state->outcomes.resize(n);
-  state->done.assign(n, 0);
-  state->remaining = n;
-  const uint64_t batch_seq = ++batch_seq_;
-
-  const bool deadline_set =
-      options_.containment && options_.batch_deadline_ms > 0;
-  const steady::time_point deadline =
-      steady::now() + std::chrono::milliseconds(options_.batch_deadline_ms);
-
-  auto fail_slot = [&state](size_t i, const char* stage, Status st) {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->outcomes[i].failed = true;
-    state->outcomes[i].failed_stage = stage;
-    state->outcomes[i].status = std::move(st);
-    state->done[i] = 1;
-    --state->remaining;
-  };
-
-  for (size_t i = 0; i < n; ++i) {
-    const DocJob& job = state->jobs[i];
-    uint64_t hint = AssignDocid(job);
-    if (options_.containment && poisoned_.count(job.url) != 0) {
-      ++poison_rejections_;
-      fail_slot(i, "poisoned",
-                Status::ResourceExhausted(
-                    job.url + " quarantined after repeated stage failures"));
-      continue;
-    }
-    const size_t idx = ShardFor(job.url);
-    bool down;
-    {
-      std::lock_guard<std::mutex> lock(shards_[idx]->mutex);
-      down = shards_[idx]->health == ShardHealth::kQuarantined;
-    }
-    if (down) {
-      fail_slot(i, "shard",
-                Status::Unavailable("shard " + std::to_string(idx) +
-                                    " quarantined"));
-      continue;
-    }
-    Status st = proxies_[idx]->SendSlot(state, batch_seq, i, hint, now);
-    if (st.ok()) continue;
-    if (st.code() == StatusCode::kDeadlineExceeded) {
-      // The write into a full socket buffer timed out: the worker stopped
-      // reading — a wedge. Watchdog verdict against the shard; the
-      // heartbeat timeout turns the wedge into a SIGKILL and the monitor
-      // restarts it.
-      {
-        std::lock_guard<std::mutex> lock(shards_[idx]->mutex);
-        if (shards_[idx]->health != ShardHealth::kQuarantined) {
-          shards_[idx]->health = ShardHealth::kQuarantined;
-          ++shards_[idx]->deadline_failures;
-        }
-      }
-      ++deadline_exceeded_;
-      fail_slot(i, "deadline", std::move(st));
-    } else {
-      // Worker down; its death path already quarantined the shard.
-      fail_slot(i, "shard", std::move(st));
-    }
-  }
-
-  // Barrier — identical to the thread path. Without a batch deadline the
-  // wait is still bounded: a wedged worker trips the heartbeat timeout,
-  // gets SIGKILLed, and the proxy's death path fails its slots.
-  std::vector<DocOutcome> outcomes;
-  std::set<size_t> stuck_shards;
-  {
-    std::unique_lock<std::mutex> lock(state->mutex);
-    auto drained = [&state] { return state->remaining == 0; };
-    bool completed = true;
-    if (deadline_set) {
-      completed = state->cv.wait_until(lock, deadline, drained);
-    } else {
-      state->cv.wait(lock, drained);
-    }
-    if (!completed) {
-      state->abandoned = true;
-      for (size_t i = 0; i < n; ++i) {
-        if (state->done[i]) continue;
-        state->outcomes[i].failed = true;
-        state->outcomes[i].failed_stage = "deadline";
-        state->outcomes[i].status =
-            Status::DeadlineExceeded("batch deadline exceeded (" +
-                                     std::to_string(options_.batch_deadline_ms) +
-                                     "ms)");
-        ++deadline_exceeded_;
-        stuck_shards.insert(ShardFor(state->jobs[i].url));
-      }
-    }
-    outcomes = std::move(state->outcomes);
-  }
-  for (size_t idx : stuck_shards) {
-    PipelineShard& shard = *shards_[idx];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.health != ShardHealth::kQuarantined) {
-      shard.health = ShardHealth::kQuarantined;
-      ++shard.deadline_failures;
-    }
-  }
-
   if (sink != nullptr) {
     for (size_t i = 0; i < n; ++i) {
       sink->Deliver(state->jobs[i], outcomes[i]);
@@ -873,123 +701,44 @@ Status IngestPipeline::AttachStorageHub(storage::StorageHub* hub) {
         " shards but the storage hub opened " +
         std::to_string(hub->partition_count()) + " partitions");
   }
-  if (!proxies_.empty()) {
-    if (hub->log_options().env != nullptr) {
-      return Status::InvalidArgument(
-          "process mode needs partitions on the real filesystem (a custom "
-          "Env cannot cross a process boundary)");
-    }
-    hub_ = hub;
-    // Harvest the recovered partitions before handing the files over: the
-    // central URL → DOCID map, the shared DTD registry, and each worker's
-    // starting document count (cached supervisor-side, refreshed by every
-    // SlotResult).
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      warehouse::Warehouse scratch(options_.classifier);
-      XYMON_RETURN_IF_ERROR(scratch.AttachStore(hub->partition(i)));
-      scratch.ForEachMeta([this](const warehouse::DocMeta& meta) {
-        docids_[meta.url] = meta.docid;
-        next_docid_ = std::max(next_docid_, meta.docid + 1);
-      });
-      if (shards_.size() > 1) {
-        for (const auto& [dtd_url, id] : scratch.dtd_ids()) {
-          dtd_registry_.Seed(dtd_url, id);
-        }
-      }
-      proxies_[i]->set_document_count(scratch.document_count());
-    }
-    // The workers own the partition files from here on; each opens its own
-    // exclusively and recovers from it (now, and again on every respawn).
-    hub->ReleasePartitions();
-    Status first_error;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      const bool was_alive = proxies_[i]->alive();
-      Status st = proxies_[i]->SendOpenPartition(
-          hub->partition_file_path(i), hub->log_options().fsync_every_n,
-          hub->auto_checkpoint_bytes());
-      // A dead worker still records the command for its respawn; its error
-      // is not ours to fail on (the shard is quarantined and heals through
-      // the restart path).
-      if (!st.ok() && was_alive && first_error.ok()) first_error = st;
-    }
-    return first_error;
-  }
-  hub_ = hub;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    XYMON_RETURN_IF_ERROR(
-        shards_[i]->warehouse.AttachStore(hub->partition(i)));
-  }
-  // Recovery: rebuild the central URL → DOCID map (every shard count — ids
-  // are always centrally assigned) and re-seed the shared DTD registry from
-  // what each partition persisted.
-  for (auto& shard : shards_) {
-    shard->warehouse.ForEachMeta([this](const warehouse::DocMeta& meta) {
+  // Recovery: rebuild the central URL → DOCID map (ids are always centrally
+  // assigned) and re-seed the shared DTD registry from what each partition
+  // persisted.
+  auto recovered = [this](const warehouse::Warehouse& partition) {
+    partition.ForEachMeta([this](const warehouse::DocMeta& meta) {
       docids_[meta.url] = meta.docid;
       next_docid_ = std::max(next_docid_, meta.docid + 1);
     });
-    if (shards_.size() > 1) {
-      for (const auto& [dtd_url, id] : shard->warehouse.dtd_ids()) {
-        dtd_registry_.Seed(dtd_url, id);
-      }
+    for (const auto& [dtd_url, id] : partition.dtd_ids()) {
+      dtd_registry_.Seed(dtd_url, id);
     }
+  };
+  // First error wins; the remaining shards are still attached.
+  Status first_error;
+  for (auto& transport : transports_) {
+    Status st = transport->Attach(hub, recovered);
+    if (!st.ok() && first_error.ok()) first_error = st;
   }
-  return Status::OK();
+  return first_error;
 }
 
 std::shared_ptr<CheckpointTicket> IngestPipeline::CheckpointWarehousesAsync() {
-  auto ticket = std::make_shared<CheckpointTicket>();
-  ticket->remaining_ = shards_.size();
-  if (!proxies_.empty()) {
-    // Each worker checkpoints its own partition file. The marker rides the
-    // same socket as the slots, so it lands exactly at a batch boundary —
-    // the same ordering the queue gives the thread path.
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      bool quarantined;
-      {
-        std::lock_guard<std::mutex> lock(shards_[i]->mutex);
-        quarantined = shards_[i]->health == ShardHealth::kQuarantined;
-      }
-      if (quarantined) {
-        ticket->Complete(Status::Unavailable(
-            "shard quarantined; partition checkpoint skipped"));
-        continue;
-      }
-      Status st = proxies_[i]->SendCheckpoint(ticket);
-      if (!st.ok()) ticket->Complete(st);
-    }
-    return ticket;
-  }
-  if (shards_.size() == 1) {
-    // Inline pipeline: no worker thread to hand the marker to.
-    ticket->Complete(shards_[0]->warehouse.CheckpointStorage());
-    return ticket;
-  }
-  for (auto& shard : shards_) {
-    bool queued = false;
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      if (shard->health == ShardHealth::kQuarantined) {
-        // A wedged shard would never drain the marker. Its partition is
-        // exactly what the upcoming restart rebuilds from — skip it.
-        ticket->Complete(Status::Unavailable(
-            "shard quarantined; partition checkpoint skipped"));
-      } else {
-        ShardWorkItem item;
-        item.kind = ShardWorkItem::Kind::kCheckpoint;
-        item.ticket = ticket;
-        shard->queue.push_back(std::move(item));
-        queued = true;
-      }
-    }
-    if (queued) shard->cv.notify_one();
+  auto ticket = std::make_shared<CheckpointTicket>(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    // A wedged shard would never reach the marker. Its partition is exactly
+    // what the upcoming restart rebuilds from — skip it.
+    Status st = IsQuarantined(i)
+                    ? Status::Unavailable(
+                          "shard quarantined; partition checkpoint skipped")
+                    : transports_[i]->Checkpoint(ticket);
+    if (!st.ok()) ticket->Complete(st);
   }
   return ticket;
 }
 
 bool IngestPipeline::has_unhealthy_shards() const {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    if (shard->health == ShardHealth::kQuarantined) return true;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (IsQuarantined(i)) return true;
   }
   return false;
 }
@@ -1002,21 +751,15 @@ Status IngestPipeline::RestartShard(size_t index) {
   {
     std::lock_guard<std::mutex> lock(old.mutex);
     old.health = ShardHealth::kRestarting;
-    old.stop = true;
   }
-  old.cv.notify_all();
-  // The join bounds the teardown: the worker drains its queue (leftover
-  // checkpoint markers complete with Unavailable, leftover documents belong
-  // to abandoned batches and are skipped) and exits. A stage wedged forever
-  // blocks here — injected stalls are finite; a truly hung thread needs the
-  // multi-process split ROADMAP.md plans (a thread cannot be killed).
-  if (old.worker.joinable()) old.worker.join();
+  // Stop the substrate before the old shard is destroyed: no worker thread,
+  // and no worker process's reader merging a late result's stage counters,
+  // may touch it afterwards.
+  transports_[index]->Stop();
 
   auto fresh = MakeShard();
   // Cumulative bookkeeping survives the restart (operators see monotonic
   // counters); health history rides along, the verdict resets below.
-  fresh->queue_high_water = old.queue_high_water;
-  fresh->backpressure_waits = old.backpressure_waits;
   fresh->stage_failures = old.stage_failures;
   fresh->deadline_failures = old.deadline_failures;
   fresh->last_failure_batch = old.last_failure_batch;
@@ -1030,75 +773,34 @@ Status IngestPipeline::RestartShard(size_t index) {
   shards_[index] = std::move(fresh);
   PipelineShard& shard = *shards_[index];
 
-  // Process mode: kill-and-restart containment. SIGKILL whatever is left of
-  // the worker, fork/exec a fresh one with the stored hello, point it at its
-  // partition file (it recovers from disk itself — the supervisor never
-  // reopens a released partition), and replay the logged subscription/rule
-  // commands to rebuild its detection structures.
-  if (!proxies_.empty()) {
-    proxies_[index]->set_counter_shard(&shard);
-    Status st = proxies_[index]->Respawn(replay_log_);
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.health = ShardHealth::kQuarantined;
-      return st;
+  // Rebuild from durable state (the transport recovers the partition: a
+  // thread shard reopens it, a respawned worker process reopens its own
+  // file and replays the logged subscription commands).
+  Status st = transports_[index]->Start(&shard);
+  if (st.ok()) {
+    // A rebuilt shard gets a clean poison slate for the URLs it owns.
+    for (auto it = fail_counts_.begin(); it != fail_counts_.end();) {
+      it = ShardFor(it->first) == index ? fail_counts_.erase(it)
+                                        : std::next(it);
     }
-  }
-
-  // Rebuild from durable state: reopen the partition from disk and recover
-  // the warehouse from it. The central DOCID map is already a superset of
-  // the partition's contents (the store is write-through), so only the DTD
-  // registry needs re-seeding. Without a hub the shard restarts empty — its
-  // documents re-ingest as new on their next fetch.
-  if (proxies_.empty() && hub_ != nullptr) {
-    XYMON_RETURN_IF_ERROR(hub_->ReopenPartition(index));
-    XYMON_RETURN_IF_ERROR(shard.warehouse.AttachStore(hub_->partition(index)));
-    if (shards_.size() > 1) {
-      for (const auto& [dtd_url, id] : shard.warehouse.dtd_ids()) {
-        dtd_registry_.Seed(dtd_url, id);
-      }
+    for (auto it = poisoned_.begin(); it != poisoned_.end();) {
+      it = ShardFor(*it) == index ? poisoned_.erase(it) : std::next(it);
     }
+    // Re-register subscriptions on the fresh detection replica.
+    if (restart_hook_) st = restart_hook_(index);
   }
-
-  // A rebuilt shard gets a clean poison slate for the URLs it owns.
-  for (auto it = fail_counts_.begin(); it != fail_counts_.end();) {
-    it = ShardFor(it->first) == index ? fail_counts_.erase(it) : std::next(it);
-  }
-  for (auto it = poisoned_.begin(); it != poisoned_.end();) {
-    it = ShardFor(*it) == index ? poisoned_.erase(it) : std::next(it);
-  }
-
-  if (shards_.size() > 1 && proxies_.empty()) {
-    shard.worker = std::thread(&IngestPipeline::WorkerLoop, this, &shard);
-  }
-  // Re-register subscriptions on the fresh detection replica. Failing here
-  // leaves the shard quarantined (the caller sees the error and the scatter
-  // keeps routing around it).
-  if (restart_hook_) {
-    Status st = restart_hook_(index);
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.health = ShardHealth::kQuarantined;
-      return st;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.health = ShardHealth::kHealthy;
-  }
-  return Status::OK();
+  // Failing leaves the shard quarantined: the caller sees the error and
+  // the scatter keeps routing around it.
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  shard.health = st.ok() ? ShardHealth::kHealthy : ShardHealth::kQuarantined;
+  return st;
 }
 
 Status IngestPipeline::RestartUnhealthyShards(size_t* restarted) {
   Status first_error;
   size_t count = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    bool quarantined;
-    {
-      std::lock_guard<std::mutex> lock(shards_[i]->mutex);
-      quarantined = shards_[i]->health == ShardHealth::kQuarantined;
-    }
-    if (!quarantined) continue;
+    if (!IsQuarantined(i)) continue;
     Status st = RestartShard(i);
     if (st.ok()) {
       ++count;
@@ -1117,70 +819,29 @@ std::vector<std::string> IngestPipeline::poisoned_urls() const {
 }
 
 void IngestPipeline::PollWorkers() {
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    if (proxies_[i]->PollDead()) {
-      // The proxy's death path quarantined the shard for an unexpected
-      // death; this covers the rest (spawn never succeeded, respawn
-      // failed) so the scatter routes around the dead worker either way.
-      QuarantineShard(i);
-    }
+  for (size_t i = 0; i < transports_.size(); ++i) {
+    // A worker's death path quarantined its shard for an unexpected death;
+    // this covers the rest (spawn never succeeded, respawn failed) so the
+    // scatter routes around the dead worker either way.
+    if (transports_[i]->PollDead()) QuarantineShard(i);
   }
 }
 
-Status IngestPipeline::BroadcastCommand(uint64_t seq, std::string payload) {
-  // Log first: a worker that dies mid-broadcast is quarantined by its death
-  // path and picks the command up from the replay on respawn.
-  replay_log_.emplace_back(seq, payload);
+Status IngestPipeline::Replicate(ReplicaCommand command) {
+  command.seq = replica_seq_++;
   Status first_error;
-  for (auto& proxy : proxies_) {
-    Status st = proxy->Command(seq, payload);
+  for (auto& transport : transports_) {
+    Status st = transport->Replicate(command);
     if (!st.ok() && first_error.ok()) first_error = st;
   }
   return first_error;
 }
 
-Status IngestPipeline::ReplicateSubscribe(const std::string& text,
-                                          const std::string& email,
-                                          Timestamp now) {
-  if (proxies_.empty()) return Status::OK();
-  ipc::SubscribeMsg msg;
-  msg.seq = replay_seq_++;
-  msg.now = now;
-  // The manager already validated and budgeted the subscription; the worker
-  // replays it verbatim, so the privilege check must not re-run.
-  msg.privileged = 1;
-  msg.text = text;
-  msg.email = email;
-  return BroadcastCommand(msg.seq, msg.Encode());
-}
-
-Status IngestPipeline::ReplicateUnsubscribe(const std::string& name,
-                                            Timestamp now) {
-  if (proxies_.empty()) return Status::OK();
-  ipc::UnsubscribeMsg msg;
-  msg.seq = replay_seq_++;
-  msg.now = now;
-  msg.name = name;
-  return BroadcastCommand(msg.seq, msg.Encode());
-}
-
-Status IngestPipeline::ReplicateDomainRule(const std::string& domain,
-                                           const std::string& doctype_name,
-                                           const std::string& root_tag,
-                                           const std::string& url_substring) {
-  if (proxies_.empty()) return Status::OK();
-  ipc::DomainRuleMsg msg;
-  msg.seq = replay_seq_++;
-  msg.domain = domain;
-  msg.doctype_name = doctype_name;
-  msg.root_tag = root_tag;
-  msg.url_substring = url_substring;
-  return BroadcastCommand(msg.seq, msg.Encode());
-}
-
 int IngestPipeline::worker_pid(size_t index) const {
-  if (index >= proxies_.size() || !proxies_[index]->alive()) return -1;
-  return static_cast<int>(proxies_[index]->pid());
+  PipelineStats own;
+  if (index < transports_.size()) transports_[index]->AddStats(&own);
+  if (own.workers.empty() || !own.workers[0].alive) return -1;
+  return own.workers[0].pid;
 }
 
 PipelineStats IngestPipeline::stats() const {
@@ -1196,52 +857,29 @@ PipelineStats IngestPipeline::stats() const {
     into->documents += from.documents;
     into->micros += from.micros;
   };
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    out.queue_high_water =
-        std::max(out.queue_high_water, shard->queue_high_water);
-    out.stage_failures += shard->stage_failures;
-    out.backpressure_waits += shard->backpressure_waits;
-    out.shard_restarts += shard->restarts;
-    out.shard_status.push_back(ShardStatus{shard->health, shard->restarts,
-                                           shard->stage_failures,
-                                           shard->deadline_failures});
-    add(&out.ingest, shard->ingest_counts);
-    add(&out.detect, shard->detect_counts);
-    add(&out.match, shard->match_counts);
-    add(&out.notify, shard->notify_counts);
-  }
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    const ShardWorkerProxy& proxy = *proxies_[i];
-    WorkerStatus w;
-    w.pid = static_cast<int>(proxy.pid());
-    w.shard = i;
-    w.alive = proxy.alive();
-    w.restarts = proxy.respawns();
-    w.crashes = proxy.crashes();
-    w.proto_errors = proxy.proto_errors();
-    w.last_heartbeat_ms = proxy.last_heartbeat_ms();
-    out.worker_crashes += w.crashes;
-    out.worker_proto_errors += w.proto_errors;
-    out.worker_respawns += w.restarts;
-    out.workers.push_back(w);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    {
+      const PipelineShard& shard = *shards_[i];
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      out.stage_failures += shard.stage_failures;
+      out.shard_restarts += shard.restarts;
+      out.shard_status.push_back(ShardStatus{shard.health, shard.restarts,
+                                             shard.stage_failures,
+                                             shard.deadline_failures});
+      add(&out.ingest, shard.ingest_counts);
+      add(&out.detect, shard.detect_counts);
+      add(&out.match, shard.match_counts);
+      add(&out.notify, shard.notify_counts);
+    }
+    transports_[i]->AddStats(&out);
   }
   return out;
 }
 
 uint64_t IngestPipeline::total_document_count() const {
-  if (!proxies_.empty()) {
-    // The supervisor-side warehouses are empty in process mode; the workers
-    // report their sizes on every SlotResult/Pong/CheckpointDone.
-    uint64_t total = 0;
-    for (const auto& proxy : proxies_) {
-      total += proxy->document_count();
-    }
-    return total;
-  }
   uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->warehouse.document_count();
+  for (const auto& transport : transports_) {
+    total += transport->document_count();
   }
   return total;
 }

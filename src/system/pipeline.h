@@ -4,14 +4,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -26,22 +24,18 @@
 namespace xymon::system {
 
 class StageFaultInjector;
-class ShardWorkerProxy;
 
-/// Worker topology of the document flow (DESIGN.md §14). The scatter/
-/// barrier/ordered-gather contract — and therefore delivered output — is
-/// identical across modes; only the execution substrate changes.
-///   kInline  — every shard processed on the caller thread. Only meaningful
-///              with shards == 1 (the historical monitor); with more shards
-///              it falls back to kThread.
-///   kThread  — one worker thread per shard when shards > 1, inline at 1.
-///              The default, and the pre-§14 behaviour.
+/// Execution substrate of the shards (DESIGN.md §14). Both run the one
+/// scatter/barrier/ordered-gather of IngestPipeline::ProcessBatch behind the
+/// ShardTransport seam, so delivered output is identical across modes.
+///   kThread  — one worker thread per shard when shards > 1; a single shard
+///              runs on the caller thread. The default.
 ///   kProcess — one supervised worker *process* per shard (any count), each
 ///              owning its storage partition, spoken to over the framed
 ///              wire protocol with heartbeats and kill-and-restart
 ///              containment. A crashing or wedged worker costs its shard's
 ///              slots of the current batch, never the monitor.
-enum class ShardMode { kInline, kThread, kProcess };
+enum class ShardMode { kThread, kProcess };
 
 // ---------------------------------------------------------------------------
 // The document flow of Figure 3, restructured as an explicit pipeline with
@@ -62,8 +56,8 @@ enum class ShardMode { kInline, kThread, kProcess };
 // Delivery stays deterministic regardless of shard count: stages 1–4a run on
 // the shard owning the document, but the resulting DeliveryActions are
 // replayed by the caller in submission order (ordered gather). A one-shard
-// pipeline runs everything inline on the caller thread — bit-for-bit the
-// pre-pipeline monitor.
+// pipeline runs the same scatter/barrier/gather with the shard's stages on
+// the caller thread, delivering after the batch like N shards do.
 //
 // The pipeline is self-healing (DESIGN.md §13): with containment on, a
 // stage that throws fails only its document's DocOutcome, a URL that keeps
@@ -110,6 +104,15 @@ struct DocOutcome {
   std::string failed_stage;
   Status status;           // deletion jobs: NotFound when the URL is unknown
   std::vector<DeliveryAction> actions;
+
+  /// A failed outcome: `failed` set, `failed_stage` = `stage`.
+  static DocOutcome Failure(const char* stage, Status status) {
+    DocOutcome out;
+    out.failed = true;
+    out.failed_stage = stage;
+    out.status = std::move(status);
+    return out;
+  }
 };
 
 // -- Per-stage interfaces ----------------------------------------------------
@@ -197,8 +200,8 @@ struct ShardStatus {
   bool operator==(const ShardStatus&) const = default;
 };
 
-/// Supervision telemetry for one shard worker process (empty vector in
-/// inline/thread modes).
+/// Supervision telemetry for one shard worker process (none in thread
+/// mode).
 struct WorkerStatus {
   int pid = -1;
   size_t shard = 0;
@@ -216,8 +219,8 @@ struct PipelineStats {
   size_t shards = 0;
   uint64_t batches = 0;
   uint64_t documents = 0;
-  /// Deepest shard work queue observed (multi-shard only; the inline
-  /// single-shard path has no queue).
+  /// Deepest shard work queue observed (thread shards only, and only with
+  /// more than one: a single shard runs on the caller thread, unqueued).
   uint64_t queue_high_water = 0;
   // -- Self-healing counters (all zero with containment off) ----------------
   uint64_t failed_documents = 0;    // DocOutcome::failed delivered
@@ -244,14 +247,23 @@ struct PipelineStats {
 // -- Shards ------------------------------------------------------------------
 
 /// Completion handle for a parallel warehouse checkpoint: each shard
-/// checkpoints its partition on its own worker thread at a batch boundary,
-/// while the other shards keep processing documents. Wait() blocks until
-/// every shard finished and returns the first error; WaitFor() gives up
-/// after a timeout (a checkpoint stuck behind a wedged shard reports
+/// checkpoints its partition on its own worker at a batch boundary, while
+/// the other shards keep processing documents. Wait() blocks until every
+/// shard finished and returns the first error; WaitFor() gives up after a
+/// timeout (a checkpoint stuck behind a wedged shard reports
 /// DeadlineExceeded instead of blocking the caller forever — the marker
 /// stays queued and a later Wait/WaitFor can still collect it).
 class CheckpointTicket {
  public:
+  explicit CheckpointTicket(size_t shards) : remaining_(shards) {}
+
+  /// One shard's partition finished (or was skipped with an error).
+  void Complete(const Status& status) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (status_.ok() && !status.ok()) status_ = status;
+    if (remaining_ > 0 && --remaining_ == 0) cv_.notify_all();
+  }
+
   Status Wait() {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return remaining_ == 0; });
@@ -270,52 +282,35 @@ class CheckpointTicket {
   }
 
  private:
-  friend class IngestPipeline;
-  friend class ShardWorkerProxy;
-
-  void Complete(const Status& status) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (status_.ok() && !status.ok()) status_ = status;
-    if (remaining_ > 0 && --remaining_ == 0) cv_.notify_all();
-  }
-
   std::mutex mutex_;
   std::condition_variable cv_;
-  size_t remaining_ = 0;
+  size_t remaining_;
   Status status_;
 };
 
 /// Shared state of one in-flight batch. The scatter/gather thread and the
-/// shard workers meet only here (and on the shard queues): jobs are owned by
-/// the batch, outcomes are published under `mutex`, and the barrier waits on
-/// `remaining` hitting zero. When the watchdog abandons a batch (`abandoned`
-/// set under `mutex`), a still-running worker keeps a valid BatchState via
-/// its shared_ptr and discards its result on publication — nothing dangles
+/// shard transports meet only here: jobs are owned by the batch, outcomes
+/// are published under `mutex`, and the barrier waits on `remaining`
+/// hitting zero. When the watchdog abandons a batch (`abandoned` set under
+/// `mutex`), a still-running shard keeps a valid BatchState via its
+/// shared_ptr and its result is discarded on publication — nothing dangles
 /// even though ProcessBatch already returned.
 struct BatchState {
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<DocJob> jobs;          // immutable once scattered
+  Timestamp now = 0;                 // the batch timestamp
+  /// Watchdog bound on the barrier and on backpressure waits (nullopt =
+  /// wait as long as it takes).
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   std::vector<DocOutcome> outcomes;  // slot-indexed, published under mutex
   std::vector<uint8_t> done;         // slot-indexed completion flags
   size_t remaining = 0;              // slots not yet accounted for
   bool abandoned = false;            // watchdog gave up; discard late results
-};
 
-/// One work item scattered to a shard: either a document (its batch + slot,
-/// the centrally pre-assigned DOCID and the batch timestamp) or a
-/// checkpoint marker. Markers ride the same queue, so a shard checkpoints
-/// exactly at a batch boundary: after every document scattered before the
-/// marker, before any scattered after it.
-struct ShardWorkItem {
-  enum class Kind { kDocument, kCheckpoint };
-  Kind kind = Kind::kDocument;
-  std::shared_ptr<BatchState> batch;
-  size_t slot = 0;
-  uint64_t docid_hint = 0;
-  Timestamp now = 0;
-  /// kCheckpoint: completion handle shared by every shard's marker.
-  std::shared_ptr<CheckpointTicket> ticket;
+  /// Accounts for slot `slot` exactly once: stores `outcome` unless the
+  /// batch was abandoned, and releases the barrier at zero. Any thread.
+  void Publish(size_t slot, DocOutcome outcome);
 };
 
 /// One partition of the document flow: a warehouse partition plus a full
@@ -340,28 +335,20 @@ struct PipelineShard {
   std::unique_ptr<DetectStage> detect_stage;
   std::unique_ptr<MatchStage> match_stage;
 
-  // Worker machinery (idle in a one-shard pipeline). `mutex` guards the
-  // queue, flags, health and counters. The batch barrier waits on the
-  // BatchState, not on queue emptiness, so a checkpoint marker draining
-  // slowly on one shard never blocks the other shards' batches.
-  std::thread worker;
+  /// Guards health and counters (the proxy's reader thread and the shard's
+  /// worker thread write them too).
   mutable std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<ShardWorkItem> queue;
-  bool stop = false;
 
-  // Health (guarded by `mutex`; transitions documented on ShardHealth).
+  // Health (transitions documented on ShardHealth).
   ShardHealth health = ShardHealth::kHealthy;
   uint64_t restarts = 0;
   uint64_t stage_failures = 0;
   uint64_t deadline_failures = 0;
-  uint64_t backpressure_waits = 0;
   /// Batch sequence number of the last contained failure (degraded→healthy
   /// recovery is measured from here).
   uint64_t last_failure_batch = 0;
 
-  // Stage counters (guarded by `mutex`).
-  uint64_t queue_high_water = 0;
+  // Stage counters.
   StageCounters ingest_counts;
   StageCounters detect_counts;
   StageCounters match_counts;
@@ -373,11 +360,101 @@ struct PipelineShard {
 /// semantics of DESIGN.md §13 (a throwing stage fails the DocOutcome, not
 /// the process) and the per-stage timing merged into the shard's counters.
 /// Free-standing so a shard worker *process* (src/ipc/worker_main.cc) runs
-/// the identical code path over its own PipelineShard — IngestPipeline's
-/// ProcessOne delegates here.
+/// the identical code path over its own PipelineShard as the in-process
+/// transport does.
 void ProcessDocJob(PipelineShard& shard, const DocJob& job,
                    uint64_t docid_hint, Timestamp now, bool containment,
                    const NotifyResolver* resolver, DocOutcome* out);
+
+// -- The shard substrate ------------------------------------------------------
+
+/// A subscription or domain-rule mutation the owner has already applied to
+/// the detection replicas in this process. A shard whose replica lives in
+/// another process replays it there (DESIGN.md §14).
+struct ReplicaCommand {
+  enum class Kind { kSubscribe, kUnsubscribe, kDomainRule };
+
+  static ReplicaCommand Subscribe(std::string_view text,
+                                  std::string_view email, Timestamp now);
+  static ReplicaCommand Unsubscribe(std::string_view name, Timestamp now);
+  static ReplicaCommand DomainRule(
+      const warehouse::DomainClassifier::Rule& rule);
+
+  Kind kind = Kind::kSubscribe;
+  Timestamp now = 0;
+  std::string_view text;   // kSubscribe: the subscription text
+  std::string_view email;  // kSubscribe: first recipient ("" if none)
+  std::string_view name;   // kUnsubscribe: the subscription name
+  const warehouse::DomainClassifier::Rule* rule = nullptr;  // kDomainRule
+  /// Broadcast number (IngestPipeline::Replicate): every shard's copy of
+  /// one broadcast carries the same seq.
+  uint64_t seq = 0;
+};
+
+/// The seam between the pipeline's one scatter/barrier/ordered-gather and
+/// the substrate a shard runs on (DESIGN.md §14): how a slot reaches the
+/// shard's stages, how its outcome comes back, and the shard's storage,
+/// restart, replication, liveness and telemetry. Two implementations:
+/// IngestPipeline's in-process transport (a worker thread with a queue and
+/// backpressure, or the caller thread when there is one shard) and
+/// ShardWorkerProxy (a supervised worker process over the wire). A transport
+/// to another machine would be a third.
+///
+/// The pipeline's owner serializes every call (see IngestPipeline); a
+/// transport publishes outcomes with BatchState::Publish from whatever thread
+/// finishes the slot. The defaults are the in-process answers.
+class ShardTransport {
+ public:
+  ShardTransport() = default;
+  virtual ~ShardTransport() = default;
+  ShardTransport(const ShardTransport&) = delete;
+  ShardTransport& operator=(const ShardTransport&) = delete;
+
+  /// Starts the substrate serving `shard`: at construction, and again in
+  /// RestartShard with a fresh shard after Stop(). A restart rebuilds the
+  /// shard from its durable partition when storage is attached.
+  virtual Status Start(PipelineShard* shard) = 0;
+  /// Stops the substrate so nothing touches the shard afterwards (joins the
+  /// worker thread, or kills the worker process and joins its reader).
+  virtual void Stop() = 0;
+
+  /// Hands slot `slot` of `batch` (with its pre-assigned DOCID) to the shard;
+  /// its outcome is published through BatchState::Publish. On error the slot
+  /// was not taken and the caller fails it; DeadlineExceeded means the
+  /// shard stopped draining (a watchdog verdict).
+  virtual Status Send(const std::shared_ptr<BatchState>& batch, size_t slot,
+                      uint64_t docid_hint) = 0;
+  /// Checkpoints the shard's partition at a batch boundary — after every
+  /// slot sent before, before any sent after — and completes `ticket`. On
+  /// error the ticket was not taken.
+  virtual Status Checkpoint(
+      const std::shared_ptr<CheckpointTicket>& ticket) = 0;
+
+  /// Attaches the shard to its partition of `hub` (opened and recovered by
+  /// the hub) and shows `recovered` the recovered warehouse once.
+  virtual Status Attach(
+      storage::StorageHub* hub,
+      const std::function<void(const warehouse::Warehouse&)>& recovered) = 0;
+
+  /// Replays `command` into a replica outside this process.
+  virtual Status Replicate(const ReplicaCommand& command) {
+    (void)command;
+    return Status::OK();
+  }
+
+  /// Appends the shard's documents in `domain` ("" = all) to `out`; the
+  /// pointers stay valid until the next call or mutation.
+  virtual void CollectDocuments(
+      std::string_view domain,
+      std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>*
+          out) = 0;
+  virtual uint64_t document_count() const = 0;
+  /// Adds the substrate's telemetry (queue depth, worker supervision).
+  virtual void AddStats(PipelineStats* out) const = 0;
+
+  /// Death check at a batch boundary: true if the substrate is down.
+  virtual bool PollDead() { return false; }
+};
 
 // -- The pipeline ------------------------------------------------------------
 
@@ -388,7 +465,8 @@ void ProcessDocJob(PipelineShard& shard, const DocJob& job,
 class IngestPipeline {
  public:
   struct Options {
-    /// Number of document-flow partitions. 1 = inline, no threads.
+    /// Number of document-flow partitions. One thread shard runs on the
+    /// caller thread.
     size_t shards = 1;
     /// Trie vs hash `URL extends` structure, per shard.
     bool use_trie_prefixes = false;
@@ -404,10 +482,11 @@ class IngestPipeline {
     /// run. Off restores the seed's die-on-throw behaviour (the bench
     /// baseline for the containment-overhead comparison).
     bool containment = true;
-    /// Batch deadline in milliseconds (0 = none; multi-shard only — the
-    /// inline path has no worker to outwait). A batch whose barrier has not
-    /// released by then is failed by the watchdog: unprocessed slots get
-    /// DeadlineExceeded outcomes and the stuck shards are quarantined.
+    /// Batch deadline in milliseconds (0 = none). A batch whose barrier has
+    /// not released by then is failed by the watchdog: unprocessed slots get
+    /// DeadlineExceeded outcomes and the stuck shards are quarantined. A
+    /// one-shard thread pipeline finishes every slot inside the scatter, so
+    /// its barrier never waits.
     uint32_t batch_deadline_ms = 0;
     /// Consecutive contained stage failures a URL may cause before it is
     /// quarantined by the poison tracker (0 = never). A successful pass
@@ -468,8 +547,7 @@ class IngestPipeline {
   PipelineShard& shard(size_t i) { return *shards_[i]; }
   const PipelineShard& shard(size_t i) const { return *shards_[i]; }
 
-  /// Which shard owns `url` (stable FNV-1a hash — same partitioning as
-  /// ParallelMqpPool).
+  /// Which shard owns `url` (stable FNV-1a hash).
   size_t ShardFor(std::string_view url) const;
 
   /// The warehouse partition owning `url`.
@@ -478,40 +556,31 @@ class IngestPipeline {
   }
 
   /// Aggregated read view over every shard (continuous queries range over
-  /// it). One shard: a passthrough to the shard's warehouse — identical
-  /// iteration order to the pre-pipeline monitor. Several: merged,
-  /// DOCID-ordered. The pointer is stable across RestartShard.
+  /// it), merged DOCID-ordered on every substrate. The pointer is stable
+  /// across RestartShard.
   const warehouse::DocumentSource* document_source() const;
 
-  /// Runs one batch through stages 1–4: scatter by hash(url), process on
-  /// the owning shards, gather + deliver to `sink` in submission order.
-  /// Blocks until every outcome is delivered (or, with a batch deadline
-  /// configured, until the watchdog fails the stragglers). `outcomes_out`,
-  /// if non-null, receives the per-slot outcomes (delivery may have
-  /// consumed payload strings; `status` and the flags are intact). The
-  /// rvalue overload avoids copying the jobs into the batch state.
-  void ProcessBatch(const std::vector<DocJob>& jobs, Timestamp now,
-                    DeliverySink* sink,
-                    std::vector<DocOutcome>* outcomes_out = nullptr);
-  void ProcessBatch(std::vector<DocJob>&& jobs, Timestamp now,
-                    DeliverySink* sink,
+  /// Runs one batch through stages 1–4: scatter by hash(url) to the owning
+  /// shards' transports, one barrier, then gather + deliver to `sink` in
+  /// submission order. Blocks until every outcome is delivered (or, with a
+  /// batch deadline configured, until the watchdog fails the stragglers).
+  /// `outcomes_out`, if non-null, receives the per-slot outcomes (delivery
+  /// may have consumed payload strings; `status` and the flags are intact).
+  void ProcessBatch(std::vector<DocJob> jobs, Timestamp now, DeliverySink* sink,
                     std::vector<DocOutcome>* outcomes_out = nullptr);
 
-  /// Storage plumbing: attaches shard i's warehouse to the hub's partition
-  /// i (the hub has already opened — and, if the shard count changed,
-  /// resharded — every partition). Recovery rebuilds the central DOCID map
-  /// and the shared DTD registry from the recovered partitions. The hub's
-  /// partition count must equal the shard count. The pipeline keeps the
-  /// hub pointer for RestartShard's rebuild-from-storage.
+  /// Storage plumbing: attaches shard i to the hub's partition i (the hub
+  /// has already opened — and, if the shard count changed, resharded —
+  /// every partition). Recovery rebuilds the central DOCID map and the
+  /// shared DTD registry from the recovered partitions. The hub's partition
+  /// count must equal the shard count.
   Status AttachStorageHub(storage::StorageHub* hub);
 
-  /// Starts a parallel, non-quiescing checkpoint: a marker is queued on
-  /// every shard and each partition checkpoints on its own worker thread at
-  /// a batch boundary. Returns immediately; Wait() on the ticket for
-  /// completion. Inline (1-shard) pipelines checkpoint on the caller
-  /// thread and return an already-completed ticket. A quarantined shard's
-  /// marker completes immediately with Unavailable (its partition is what
-  /// the upcoming restart rebuilds from).
+  /// Starts a parallel, non-quiescing checkpoint: every shard's transport
+  /// checkpoints its partition at a batch boundary. Returns immediately;
+  /// Wait() on the ticket for completion. A quarantined shard completes
+  /// immediately with Unavailable (its partition is what the upcoming
+  /// restart rebuilds from).
   std::shared_ptr<CheckpointTicket> CheckpointWarehousesAsync();
 
   /// Synchronous convenience over CheckpointWarehousesAsync().
@@ -522,15 +591,15 @@ class IngestPipeline {
   /// True if any shard is quarantined (watchdog verdict or restart failure).
   bool has_unhealthy_shards() const;
 
-  /// Tears down shard `index` (stop + join its worker; leftover checkpoint
-  /// markers complete with Unavailable) and rebuilds it from durable state:
-  /// a fresh PipelineShard, its warehouse re-attached to the re-opened
-  /// StorageHub partition, cumulative counters carried over, the poison
-  /// verdicts for its URLs cleared, and the restart hook invoked so the
-  /// owner re-registers subscriptions. Caller must hold the same
-  /// serialization as ProcessBatch (no batch may be in flight). Without an
-  /// attached hub the shard restarts empty — its documents re-ingest as
-  /// new on their next fetch.
+  /// Tears down shard `index` (its transport stops first, so nothing
+  /// touches the old shard while it is destroyed) and rebuilds it from
+  /// durable state: a fresh PipelineShard recovered from its StorageHub
+  /// partition by the restarted transport, cumulative counters carried
+  /// over, the poison verdicts for its URLs cleared, and the restart hook
+  /// invoked so the owner re-registers subscriptions. Caller must hold the
+  /// same serialization as ProcessBatch (no batch may be in flight).
+  /// Without an attached hub the shard restarts empty — its documents
+  /// re-ingest as new on their next fetch.
   Status RestartShard(size_t index);
 
   /// RestartShard for every quarantined shard; first error wins (remaining
@@ -543,34 +612,25 @@ class IngestPipeline {
 
   // -- Worker processes (DESIGN.md §14) ---------------------------------------
 
-  /// True when the shards run as supervised worker processes.
-  bool process_mode() const { return !proxies_.empty(); }
-
-  /// First error from spawning the worker fleet in the constructor (the
-  /// ctor cannot fail; the owner checks this before going live). Shards
-  /// whose worker failed to spawn start quarantined.
+  /// First error from starting the shard transports in the constructor
+  /// (the ctor cannot fail; the owner checks this before going live).
+  /// Shards whose worker failed to spawn start quarantined.
   const Status& worker_status() const { return worker_status_; }
 
-  /// Synchronous death sweep (waitpid WNOHANG on every worker): runs the
-  /// death path — fail outstanding work, quarantine the shard — at a
-  /// deterministic point, before a batch is scattered, instead of waiting
-  /// for a reader thread to notice the EOF. No-op outside process mode.
+  /// Synchronous death sweep over every transport: runs the death path —
+  /// fail outstanding work, quarantine the shard — at a deterministic
+  /// point, before a batch is scattered, instead of waiting for a reader
+  /// thread to notice the EOF.
   void PollWorkers();
 
-  /// Replicated-command broadcasts: in process mode, forwards the mutation
-  /// to every worker (waiting for acks) and appends it to the replay log a
-  /// respawned worker is brought up to date from. No-ops otherwise. A
-  /// worker that fails its ack has died — its shard is quarantined via the
-  /// death path and the logged command heals it on restart — so the first
-  /// error is returned for visibility but the mutation is never rolled
-  /// back.
-  Status ReplicateSubscribe(const std::string& text, const std::string& email,
-                            Timestamp now);
-  Status ReplicateUnsubscribe(const std::string& name, Timestamp now);
-  Status ReplicateDomainRule(const std::string& domain,
-                             const std::string& doctype_name,
-                             const std::string& root_tag,
-                             const std::string& url_substring);
+  /// Replicated-command broadcast: hands the mutation to every shard's
+  /// transport. A worker process applies it (waiting for the ack) and keeps
+  /// it for respawn replay; an in-process shard already shares the owner's
+  /// replicas. A worker that fails its ack has died — its shard is
+  /// quarantined via the death path and the logged command heals it on
+  /// restart — so the first error is returned for visibility but the
+  /// mutation is never rolled back.
+  Status Replicate(ReplicaCommand command);
 
   /// The worker process serving shard `index` (-1 when not in process mode
   /// or the worker is down) — tests aim their SIGKILLs here.
@@ -581,30 +641,15 @@ class IngestPipeline {
 
  private:
   class ShardedSource;
-  class RemoteSource;
+  class ThreadTransport;
 
   std::unique_ptr<PipelineShard> MakeShard();
-  void WorkerLoop(PipelineShard* shard);
-  void ProcessOne(PipelineShard& shard, const DocJob& job, uint64_t docid_hint,
-                  Timestamp now, DocOutcome* out) const;
-  void ProcessBatchInline(const std::vector<DocJob>& jobs, Timestamp now,
-                          DeliverySink* sink,
-                          std::vector<DocOutcome>* outcomes_out);
-  void ProcessBatchSharded(std::shared_ptr<BatchState> state, Timestamp now,
-                           DeliverySink* sink,
-                           std::vector<DocOutcome>* outcomes_out);
-  /// The process-mode scatter: slots go over the wire to the owning
-  /// worker, the barrier and ordered gather are unchanged.
-  void ProcessBatchProcess(std::shared_ptr<BatchState> state, Timestamp now,
-                           DeliverySink* sink,
-                           std::vector<DocOutcome>* outcomes_out);
-  /// Spawns the worker fleet (ctor tail, kProcess only).
-  void SpawnWorkers();
+  bool IsQuarantined(size_t index) const;
   /// Marks shard `index` quarantined (worker death path; any thread).
   void QuarantineShard(size_t index);
-  /// Broadcast helper: sends the encoded command to every live worker,
-  /// appending it to the replay log first.
-  Status BroadcastCommand(uint64_t seq, std::string payload);
+  /// Watchdog verdict against shard `index` (deadline blown, or it stopped
+  /// draining): quarantined, counted once.
+  void MarkStuck(size_t index);
   /// DOCIDs are assigned centrally in submission order for every shard
   /// count (deletions get 0), so ids — and everything derived from them —
   /// are identical at 1 and N shards, and a contained ingest failure cannot
@@ -620,23 +665,15 @@ class IngestPipeline {
   Options options_;
   const NotifyResolver* resolver_ = nullptr;
   std::function<Status(size_t)> restart_hook_;
-  storage::StorageHub* hub_ = nullptr;
   warehouse::DtdRegistry dtd_registry_;
   std::vector<std::unique_ptr<PipelineShard>> shards_;
   std::unique_ptr<ShardedSource> sharded_source_;
-
-  // -- Worker processes (process mode only; DESIGN.md §14) --------------------
-  // Declared after shards_ so the proxies (whose reader threads merge stage
-  // counters into the shards) are destroyed first.
-  std::vector<std::unique_ptr<ShardWorkerProxy>> proxies_;
-  std::unique_ptr<RemoteSource> remote_source_;
-  Status worker_status_;  // first spawn error (ctor cannot fail)
-  uint64_t batch_seq_ = 0;
-  /// Replicated commands (encoded Subscribe/Unsubscribe/DomainRule frames,
-  /// keyed by seq) replayed into a respawned worker to rebuild its
-  /// detection structures.
-  std::vector<std::pair<uint64_t, std::string>> replay_log_;
-  uint64_t replay_seq_ = 1;
+  /// One per shard. Declared after shards_ (and the DTD registry the
+  /// workers ask) so the transports — whose threads touch the shards — are
+  /// destroyed first.
+  std::vector<std::unique_ptr<ShardTransport>> transports_;
+  Status worker_status_;  // first Start error (ctor cannot fail)
+  uint64_t replica_seq_ = 1;
 
   /// Central DOCID allocation (see AssignDocid).
   std::unordered_map<std::string, uint64_t> docids_;

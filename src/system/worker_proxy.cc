@@ -9,6 +9,9 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "src/system/stage_faults.h"
+#include "src/xml/parser.h"
+
 namespace xymon::system {
 
 namespace {
@@ -21,23 +24,105 @@ int64_t SteadyMicros() {
 
 }  // namespace
 
-ShardWorkerProxy::ShardWorkerProxy(size_t shard_index, const Options& options,
+const std::string& ReplayLog::Record(const ReplicaCommand& command) {
+  if (!entries_.empty() && entries_.back().first == command.seq) {
+    return entries_.back().second;
+  }
+  std::string payload;
+  switch (command.kind) {
+    case ReplicaCommand::Kind::kSubscribe: {
+      ipc::SubscribeMsg msg;
+      msg.seq = command.seq;
+      msg.now = command.now;
+      // The manager already validated and budgeted the subscription; the
+      // worker replays it verbatim, so the privilege check must not re-run.
+      msg.privileged = 1;
+      msg.text = command.text;
+      msg.email = command.email;
+      payload = msg.Encode();
+      break;
+    }
+    case ReplicaCommand::Kind::kUnsubscribe: {
+      ipc::UnsubscribeMsg msg;
+      msg.seq = command.seq;
+      msg.now = command.now;
+      msg.name = command.name;
+      payload = msg.Encode();
+      break;
+    }
+    case ReplicaCommand::Kind::kDomainRule: {
+      ipc::DomainRuleMsg msg;
+      msg.seq = command.seq;
+      msg.domain = command.rule->domain;
+      msg.doctype_name = command.rule->doctype_name;
+      msg.root_tag = command.rule->root_tag;
+      msg.url_substring = command.rule->url_substring;
+      payload = msg.Encode();
+      break;
+    }
+  }
+  entries_.emplace_back(command.seq, std::move(payload));
+  return entries_.back().second;
+}
+
+ShardWorkerProxy::ShardWorkerProxy(size_t shard_index,
+                                   const IngestPipeline::Options& options,
+                                   std::shared_ptr<ReplayLog> replay_log,
                                    Supervision supervision)
     : shard_index_(shard_index),
       options_(options),
-      supervision_(std::move(supervision)) {}
+      replay_log_(std::move(replay_log)),
+      supervision_(std::move(supervision)) {
+  hello_.shard_index = static_cast<uint32_t>(shard_index);
+  hello_.num_shards = static_cast<uint32_t>(options.shards);
+  hello_.use_trie_prefixes = options.use_trie_prefixes ? 1 : 0;
+  hello_.containment = options.containment ? 1 : 0;
+  hello_.max_parse_failures = options.max_parse_failures_per_url;
+  if (options.stage_faults != nullptr) {
+    for (const StageFaultSpec& f : options.stage_faults->plan().faults) {
+      ipc::WireFault wf;
+      wf.stage = static_cast<uint8_t>(f.stage);
+      wf.kind = static_cast<uint8_t>(f.kind);
+      wf.nth = f.nth;
+      wf.stall_ms = f.stall_ms;
+      wf.url = f.url;
+      hello_.faults.push_back(std::move(wf));
+    }
+  }
+}
 
 ShardWorkerProxy::~ShardWorkerProxy() { Shutdown(); }
 
-Status ShardWorkerProxy::Spawn(const ipc::HelloMsg& hello) {
-  std::string binary = options_.binary;
+Status ShardWorkerProxy::Start(PipelineShard* shard) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    counter_shard_ = shard;
+  }
+  const bool respawn = started_;
+  started_ = true;
+  XYMON_RETURN_IF_ERROR(Spawn());
+  if (has_partition_) XYMON_RETURN_IF_ERROR(SendOpenPartition());
+  // Full command history, in order: subscriptions AND unsubscriptions, so
+  // the fresh replicas converge on the same subscription numbering.
+  for (const auto& [seq, payload] : replay_log_->entries()) {
+    XYMON_RETURN_IF_ERROR(Command(seq, payload));
+  }
+  if (respawn) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    respawns_++;
+  }
+  return Status::OK();
+}
+
+Status ShardWorkerProxy::Spawn() {
+  std::string binary = options_.worker_binary;
   if (binary.empty()) {
     const char* env = std::getenv("XYMON_WORKER_BIN");
     if (env != nullptr) binary = env;
   }
   if (binary.empty()) {
     return Status::InvalidArgument(
-        "worker proxy: no worker binary (Options::binary or "
+        "worker proxy: no worker binary (Options::worker_binary or "
         "$XYMON_WORKER_BIN)");
   }
   ipc::InstallSigpipeIgnore();
@@ -78,10 +163,11 @@ Status ShardWorkerProxy::Spawn(const ipc::HelloMsg& hello) {
 
   // Versioned handshake before any state: Hello out, HelloAck back, both
   // bounded — a worker that never answers is killed here, not waited on.
-  Status s = ipc::WriteFrame(sv[0], hello.Encode(), options_.command_timeout_ms);
+  Status s = ipc::WriteFrame(sv[0], hello_.Encode(),
+                             options_.worker_command_timeout_ms);
   if (!s.ok()) return abort_spawn(std::move(s));
   std::string payload;
-  s = ipc::ReadFrame(sv[0], &payload, options_.command_timeout_ms);
+  s = ipc::ReadFrame(sv[0], &payload, options_.worker_command_timeout_ms);
   if (!s.ok()) return abort_spawn(std::move(s));
   ipc::MsgType type;
   if (!ipc::PeekType(payload, &type) || type != ipc::MsgType::kHelloAck) {
@@ -102,14 +188,12 @@ Status ShardWorkerProxy::Spawn(const ipc::HelloMsg& hello) {
     std::lock_guard<std::mutex> lock(mutex_);
     fd_ = sv[0];
     pid_ = pid;
-    hello_ = hello;
     spawned_ = true;
     dead_ = false;
     expected_down_ = false;
     reaped_ = false;
     stop_heartbeat_ = false;
     batch_.reset();
-    batch_seq_ = 0;
     outstanding_.clear();
     acks_.clear();
     waiting_acks_.clear();
@@ -119,27 +203,62 @@ Status ShardWorkerProxy::Spawn(const ipc::HelloMsg& hello) {
     last_rx_us_ = SteadyMicros();  // the HelloAck was a frame
   }
   reader_ = std::thread(&ShardWorkerProxy::ReaderLoop, this);
-  if (options_.heartbeat_interval_ms > 0) {
+  if (options_.worker_heartbeat_interval_ms > 0) {
     heartbeat_ = std::thread(&ShardWorkerProxy::HeartbeatLoop, this);
   }
   return Status::OK();
 }
 
-Status ShardWorkerProxy::SendOpenPartition(const std::string& path,
-                                           uint32_t fsync_every_n,
-                                           uint64_t auto_checkpoint_bytes) {
-  uint64_t seq;
+Status ShardWorkerProxy::Attach(
+    storage::StorageHub* hub,
+    const std::function<void(const warehouse::Warehouse&)>& recovered) {
+  if (hub->log_options().env != nullptr) {
+    return Status::InvalidArgument(
+        "process mode needs partitions on the real filesystem (a custom "
+        "Env cannot cross a process boundary)");
+  }
+  {
+    // Harvest the recovered partition before handing its file over; the
+    // document count is refreshed by every SlotResult from here on.
+    warehouse::Warehouse scratch(options_.classifier);
+    XYMON_RETURN_IF_ERROR(scratch.AttachStore(hub->partition(shard_index_)));
+    recovered(scratch);
+    std::lock_guard<std::mutex> lock(mutex_);
+    document_count_ = scratch.document_count();
+  }
+  // The worker owns the partition file from here on; it opens it
+  // exclusively and recovers from it (now, and again on every respawn).
+  hub->ReleasePartition(shard_index_);
+  partition_cmd_.path = hub->partition_file_path(shard_index_);
+  partition_cmd_.fsync_every_n = hub->log_options().fsync_every_n;
+  partition_cmd_.auto_checkpoint_bytes = hub->auto_checkpoint_bytes();
+  has_partition_ = true;
+  bool was_alive;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    partition_cmd_.path = path;
-    partition_cmd_.fsync_every_n = fsync_every_n;
-    partition_cmd_.auto_checkpoint_bytes = auto_checkpoint_bytes;
-    has_partition_ = true;
-    seq = query_seq_++;
+    was_alive = spawned_ && !dead_;
   }
+  Status st = SendOpenPartition();
+  // A dead worker gets the partition on its respawn; its error is not ours
+  // to fail on (the shard is quarantined and heals through the restart
+  // path).
+  return was_alive ? st : Status::OK();
+}
+
+Status ShardWorkerProxy::SendOpenPartition() {
   ipc::OpenPartitionMsg msg = partition_cmd_;
-  msg.seq = seq;
-  return Command(seq, msg.Encode());
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    msg.seq = query_seq_++;
+  }
+  return Command(msg.seq, msg.Encode());
+}
+
+Status ShardWorkerProxy::Replicate(const ReplicaCommand& command) {
+  // Log first: a worker that dies mid-broadcast is quarantined by its death
+  // path and picks the command up from the replay on respawn.
+  const std::string& payload = replay_log_->Record(command);
+  return Command(command.seq, payload);
 }
 
 Status ShardWorkerProxy::Command(uint64_t seq, const std::string& payload) {
@@ -148,7 +267,7 @@ Status ShardWorkerProxy::Command(uint64_t seq, const std::string& payload) {
     if (dead_ || !spawned_) return Status::Unavailable("worker down");
     waiting_acks_.insert(seq);
   }
-  Status s = WriteFrameLocked(payload, options_.command_timeout_ms);
+  Status s = WriteFrameLocked(payload, options_.worker_command_timeout_ms);
   std::unique_lock<std::mutex> lock(mutex_);
   if (!s.ok()) {
     waiting_acks_.erase(seq);
@@ -156,7 +275,7 @@ Status ShardWorkerProxy::Command(uint64_t seq, const std::string& payload) {
     return s;
   }
   bool arrived = cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.command_timeout_ms),
+      lock, std::chrono::milliseconds(options_.worker_command_timeout_ms),
       [&] { return dead_ || acks_.count(seq) > 0; });
   waiting_acks_.erase(seq);
   auto it = acks_.find(seq);
@@ -173,33 +292,33 @@ Status ShardWorkerProxy::Command(uint64_t seq, const std::string& payload) {
   return Status::Unavailable("worker down");
 }
 
-Status ShardWorkerProxy::SendSlot(const std::shared_ptr<BatchState>& state,
-                                  uint64_t batch_seq, size_t slot,
-                                  uint64_t docid_hint, Timestamp now) {
+Status ShardWorkerProxy::Send(const std::shared_ptr<BatchState>& batch,
+                              size_t slot, uint64_t docid_hint) {
+  ipc::SlotMsg msg;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (dead_ || !spawned_) return Status::Unavailable("worker down");
-    if (batch_seq != batch_seq_ || batch_ != state) {
+    if (batch_ != batch) {
       // New batch: anything still outstanding from the previous one was
       // already failed (watchdog abandonment) — results for it are dropped
-      // by their batch number, never misattributed.
-      batch_ = state;
-      batch_seq_ = batch_seq;
+      // by their batch number, never misattributed. Holding `batch_` keeps
+      // the old BatchState's address from being reused by a newer batch.
+      batch_ = batch;
+      ++batch_seq_;
       outstanding_.clear();
     }
     outstanding_.insert(slot);
+    msg.batch = batch_seq_;
   }
 
-  const DocJob& job = state->jobs[slot];
-  ipc::SlotMsg msg;
-  msg.batch = batch_seq;
+  const DocJob& job = batch->jobs[slot];
   msg.slot = static_cast<uint32_t>(slot);
   msg.deletion = job.deletion ? 1 : 0;
   msg.docid_hint = docid_hint;
-  msg.now = now;
+  msg.now = batch->now;
   msg.url = job.url;
   msg.body = job.body;
-  Status s = WriteFrameLocked(msg.Encode(), options_.command_timeout_ms);
+  Status s = WriteFrameLocked(msg.Encode(), options_.worker_command_timeout_ms);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     outstanding_.erase(slot);
@@ -207,8 +326,8 @@ Status ShardWorkerProxy::SendSlot(const std::shared_ptr<BatchState>& state,
   return s;
 }
 
-Status ShardWorkerProxy::SendCheckpoint(
-    std::shared_ptr<CheckpointTicket> ticket) {
+Status ShardWorkerProxy::Checkpoint(
+    const std::shared_ptr<CheckpointTicket>& ticket) {
   uint64_t seq;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -218,7 +337,7 @@ Status ShardWorkerProxy::SendCheckpoint(
   }
   ipc::CheckpointMsg msg;
   msg.seq = seq;
-  Status s = WriteFrameLocked(msg.Encode(), options_.command_timeout_ms);
+  Status s = WriteFrameLocked(msg.Encode(), options_.worker_command_timeout_ms);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     checkpoints_.erase(seq);
@@ -238,7 +357,7 @@ Result<ipc::DomainDocsMsg> ShardWorkerProxy::QueryDomain(
   ipc::QueryDomainMsg msg;
   msg.seq = seq;
   msg.domain = domain;
-  Status s = WriteFrameLocked(msg.Encode(), options_.command_timeout_ms);
+  Status s = WriteFrameLocked(msg.Encode(), options_.worker_command_timeout_ms);
   std::unique_lock<std::mutex> lock(mutex_);
   if (!s.ok()) {
     waiting_domains_.erase(seq);
@@ -246,7 +365,7 @@ Result<ipc::DomainDocsMsg> ShardWorkerProxy::QueryDomain(
     return s;
   }
   bool arrived = cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.command_timeout_ms),
+      lock, std::chrono::milliseconds(options_.worker_command_timeout_ms),
       [&] { return dead_ || domain_results_.count(seq) > 0; });
   waiting_domains_.erase(seq);
   auto it = domain_results_.find(seq);
@@ -262,35 +381,43 @@ Result<ipc::DomainDocsMsg> ShardWorkerProxy::QueryDomain(
   return Status::Unavailable("worker down");
 }
 
-Status ShardWorkerProxy::Respawn(
-    const std::vector<std::pair<uint64_t, std::string>>& replay) {
-  Kill();
-  ipc::HelloMsg hello;
-  bool reopen;
-  ipc::OpenPartitionMsg partition;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    hello = hello_;
-    reopen = has_partition_;
-    partition = partition_cmd_;
+void ShardWorkerProxy::CollectDocuments(
+    std::string_view domain,
+    std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>*
+        out) {
+  // Pointers handed out by the previous call die here. The contract
+  // matches the warehouse's (valid until the next mutation); the query
+  // engine consumes them within one evaluation under the monitor's API
+  // serialization.
+  documents_.clear();
+  Result<ipc::DomainDocsMsg> result = QueryDomain(std::string(domain));
+  if (!result.ok()) return;  // worker down: degrade to live partitions
+  for (auto& doc : result->docs) {
+    auto parsed = xml::Parse(doc.doc_xml);
+    if (!parsed.ok()) continue;
+    auto owned = std::make_unique<OwnedDoc>();
+    owned->document = std::move(parsed.value());
+    owned->document.doctype_name = doc.doctype_name;
+    owned->document.dtd_url = doc.dtd_url;
+    warehouse::DocMeta& m = owned->meta;
+    m.docid = doc.meta.docid;
+    m.url = std::move(doc.meta.url);
+    m.filename = std::move(doc.meta.filename);
+    m.is_xml = doc.meta.is_xml != 0;
+    m.doctype_name = std::move(doc.meta.doctype_name);
+    m.dtd_url = std::move(doc.meta.dtd_url);
+    m.dtdid = doc.meta.dtdid;
+    m.domain = std::move(doc.meta.domain);
+    m.last_accessed = doc.meta.last_accessed;
+    m.last_updated = doc.meta.last_updated;
+    m.signature = doc.meta.signature;
+    m.status = static_cast<warehouse::DocStatus>(doc.meta.status);
+    out->emplace_back(&owned->meta, &owned->document);
+    documents_.push_back(std::move(owned));
   }
-  XYMON_RETURN_IF_ERROR(Spawn(hello));
-  if (reopen) {
-    XYMON_RETURN_IF_ERROR(SendOpenPartition(partition.path,
-                                            partition.fsync_every_n,
-                                            partition.auto_checkpoint_bytes));
-  }
-  // Full command history, in order: subscriptions AND unsubscriptions, so
-  // the fresh replicas converge on the same subscription numbering.
-  for (const auto& [seq, payload] : replay) {
-    XYMON_RETURN_IF_ERROR(Command(seq, payload));
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  respawns_++;
-  return Status::OK();
 }
 
-void ShardWorkerProxy::Kill() {
+void ShardWorkerProxy::Stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!spawned_) return;
@@ -347,7 +474,7 @@ void ShardWorkerProxy::Shutdown() {
       }
     }
   }
-  Kill();
+  Stop();
 }
 
 bool ShardWorkerProxy::PollDead() {
@@ -366,50 +493,26 @@ bool ShardWorkerProxy::PollDead() {
   return true;
 }
 
-void ShardWorkerProxy::set_counter_shard(PipelineShard* shard) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counter_shard_ = shard;
-}
-
-bool ShardWorkerProxy::alive() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return spawned_ && !dead_;
-}
-
-pid_t ShardWorkerProxy::pid() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pid_;
-}
-
-uint64_t ShardWorkerProxy::respawns() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return respawns_;
-}
-
-uint64_t ShardWorkerProxy::crashes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return crashes_;
-}
-
-uint64_t ShardWorkerProxy::proto_errors() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return proto_errors_;
-}
-
-int64_t ShardWorkerProxy::last_heartbeat_ms() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (last_rx_us_ < 0) return -1;
-  return (SteadyMicros() - last_rx_us_) / 1000;
-}
-
 uint64_t ShardWorkerProxy::document_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return document_count_;
 }
 
-void ShardWorkerProxy::set_document_count(uint64_t count) {
+void ShardWorkerProxy::AddStats(PipelineStats* out) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  document_count_ = count;
+  WorkerStatus w;
+  w.pid = static_cast<int>(pid_);
+  w.shard = shard_index_;
+  w.alive = spawned_ && !dead_;
+  w.restarts = respawns_;
+  w.crashes = crashes_;
+  w.proto_errors = proto_errors_;
+  w.last_heartbeat_ms =
+      last_rx_us_ < 0 ? -1 : (SteadyMicros() - last_rx_us_) / 1000;
+  out->worker_crashes += w.crashes;
+  out->worker_proto_errors += w.proto_errors;
+  out->worker_respawns += w.restarts;
+  out->workers.push_back(w);
 }
 
 // -- Threads -----------------------------------------------------------------
@@ -488,19 +591,7 @@ void ShardWorkerProxy::ReaderLoop() {
           action.event_key = std::move(a.event_key);
           out.actions.push_back(std::move(action));
         }
-        // Publication mirrors WorkerLoop exactly: outcome/done only while
-        // the batch is live, `remaining` decremented regardless, barrier
-        // notified at zero.
-        bool batch_done;
-        {
-          std::lock_guard<std::mutex> lock(bs->mutex);
-          if (!bs->abandoned) {
-            bs->outcomes[msg.slot] = std::move(out);
-            bs->done[msg.slot] = 1;
-          }
-          batch_done = --bs->remaining == 0;
-        }
-        if (batch_done) bs->cv.notify_all();
+        bs->Publish(msg.slot, std::move(out));
         break;
       }
       case ipc::MsgType::kCmdAck: {
@@ -586,7 +677,7 @@ void ShardWorkerProxy::ReaderLoop() {
         // The worker blocks on this answer mid-slot; an unresponsive write
         // here means the worker is doomed anyway — the heartbeat reaps it.
         Status write_status =
-            WriteFrameLocked(resp.Encode(), options_.command_timeout_ms);
+            WriteFrameLocked(resp.Encode(), options_.worker_command_timeout_ms);
         (void)write_status;
         break;
       }
@@ -606,12 +697,14 @@ void ShardWorkerProxy::HeartbeatLoop() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait_for(lock,
-                   std::chrono::milliseconds(options_.heartbeat_interval_ms),
+                   std::chrono::milliseconds(
+                       options_.worker_heartbeat_interval_ms),
                    [this] { return stop_heartbeat_ || dead_; });
       if (stop_heartbeat_ || dead_) return;
-      if (options_.heartbeat_timeout_ms > 0 && last_rx_us_ >= 0) {
+      if (options_.worker_heartbeat_timeout_ms > 0 && last_rx_us_ >= 0) {
         int64_t age_ms = (SteadyMicros() - last_rx_us_) / 1000;
-        if (age_ms > static_cast<int64_t>(options_.heartbeat_timeout_ms)) {
+        if (age_ms >
+            static_cast<int64_t>(options_.worker_heartbeat_timeout_ms)) {
           // Wedged: no frame for a full timeout despite the pings below.
           // SIGKILL turns the wedge into an EOF; the reader runs the death
           // path (shutdown on the socket makes its blocking read return).
@@ -626,7 +719,7 @@ void ShardWorkerProxy::HeartbeatLoop() {
     ping.token = token;
     // Failure is the reader's signal, not ours.
     Status ping_status =
-        WriteFrameLocked(ping.Encode(), options_.heartbeat_interval_ms);
+        WriteFrameLocked(ping.Encode(), options_.worker_heartbeat_interval_ms);
     (void)ping_status;
   }
 }
@@ -664,22 +757,11 @@ void ShardWorkerProxy::FailOutstandingLocked(
     std::unordered_set<size_t> slots;
     slots.swap(outstanding_);
     lock.unlock();
-    bool batch_done = false;
-    {
-      std::lock_guard<std::mutex> bs_lock(bs->mutex);
-      for (size_t slot : slots) {
-        if (!bs->abandoned) {
-          DocOutcome out;
-          out.failed = true;
-          out.failed_stage = "shard";
-          out.status = Status::Unavailable("worker process down");
-          bs->outcomes[slot] = std::move(out);
-          bs->done[slot] = 1;
-        }
-        if (--bs->remaining == 0) batch_done = true;
-      }
+    for (size_t slot : slots) {
+      bs->Publish(slot,
+                  DocOutcome::Failure(
+                      "shard", Status::Unavailable("worker process down")));
     }
-    if (batch_done) bs->cv.notify_all();
     lock.lock();
   }
   // Pending command acks fail Unavailable (the waiters re-check dead_).

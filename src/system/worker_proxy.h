@@ -21,18 +21,33 @@
 
 namespace xymon::system {
 
-/// Supervisor-side handle for one shard worker *process* (DESIGN.md §14).
-/// Owns the fork/exec over a socketpair, the framed wire conversation, and
-/// the supervision machinery — so IngestPipeline in process mode talks to a
-/// proxy with the same scatter/barrier/ordered-gather contract its thread
-/// workers obey:
+/// Replicated commands (encoded Subscribe/Unsubscribe/DomainRule frames,
+/// keyed by seq), held once for every worker of a pipeline: a respawned
+/// worker replays them in order to rebuild its detection structures.
+class ReplayLog {
+ public:
+  /// The encoded frame of `command`, appended on the first call for its
+  /// seq (every worker of one broadcast shares the entry).
+  const std::string& Record(const ReplicaCommand& command);
+
+  const std::vector<std::pair<uint64_t, std::string>>& entries() const {
+    return entries_;
+  }
+
+ private:
+  std::vector<std::pair<uint64_t, std::string>> entries_;
+};
+
+/// The process substrate for one shard (DESIGN.md §14): a ShardTransport
+/// over a fork/exec'd worker process on a socketpair, with the framed wire
+/// conversation and the supervision machinery.
 ///
-///   * SendSlot publishes the worker's SlotResult into the shared BatchState
-///     exactly like WorkerLoop does (under BatchState::mutex, honouring
-///     `abandoned`; a stale result from an abandoned batch is dropped by its
-///     batch sequence number, never misattributed to a newer batch).
-///   * SendCheckpoint completes the shared CheckpointTicket when the
-///     worker's partition checkpoint finishes.
+///   * Send writes a Slot frame; the reader thread publishes the worker's
+///     SlotResult with BatchState::Publish. A stale result from an
+///     abandoned batch is dropped by its batch sequence number, never
+///     misattributed to a newer batch.
+///   * Checkpoint completes the shared CheckpointTicket when the worker's
+///     partition checkpoint finishes.
 ///   * A reader thread drains worker→supervisor frames; a heartbeat thread
 ///     pings on an interval and SIGKILLs a worker whose last frame is older
 ///     than the timeout (a wedge becomes an EOF becomes the death path).
@@ -41,104 +56,85 @@ namespace xymon::system {
 ///     complete Unavailable, and `on_down` lets the pipeline quarantine the
 ///     shard. The monitor never dies with a worker.
 ///
-/// Thread-safety: SendSlot/Command/QueryDomain/SendCheckpoint may be called
-/// from the pipeline's scatter thread while the reader and heartbeat
-/// threads run; Spawn/Respawn/Kill/Shutdown require the same serialization
-/// as RestartShard (no batch in flight, single caller).
-class ShardWorkerProxy {
+/// Thread-safety: the ShardTransport calls come from the pipeline's owner
+/// while the reader and heartbeat threads run; Start/Stop require the
+/// RestartShard serialization (no batch in flight, single caller).
+class ShardWorkerProxy : public ShardTransport {
  public:
-  struct Options {
-    /// Worker executable; "" falls back to $XYMON_WORKER_BIN.
-    std::string binary;
-    uint32_t heartbeat_interval_ms = 500;
-    /// Worker is SIGKILLed when its last frame is older than this
-    /// (0 disables the wedge detector; batch deadlines still apply).
-    uint32_t heartbeat_timeout_ms = 5000;
-    /// Bound on command round-trips (handshake, replay acks, checkpoints
-    /// pending send) and on slot writes into a full socket buffer.
-    uint32_t command_timeout_ms = 10000;
-  };
-
   /// Callbacks into the owning pipeline.
   struct Supervision {
     /// Central DTDID assignment (the worker's registry RPCs through here).
     std::function<uint32_t(const std::string&)> dtd_id_for;
     /// Worker went down (crash/wedge/corruption); the pipeline quarantines
     /// the shard. Runs on the reader thread (or the caller of PollDead) —
-    /// must not call back into Spawn/Respawn/Kill.
+    /// must not call back into Start/Stop.
     std::function<void(size_t shard_index, const std::string& reason)> on_down;
   };
 
-  ShardWorkerProxy(size_t shard_index, const Options& options,
+  /// Worker for shard `shard_index` of a pipeline built with `options`
+  /// (worker binary, heartbeat and command bounds, and the Hello frame's
+  /// knobs and fault plan); `replay_log` is shared by the whole fleet.
+  ShardWorkerProxy(size_t shard_index, const IngestPipeline::Options& options,
+                   std::shared_ptr<ReplayLog> replay_log,
                    Supervision supervision);
-  ~ShardWorkerProxy();
+  /// Graceful stop: Shutdown frame, bounded wait for exit, SIGKILL fallback.
+  ~ShardWorkerProxy() override;
 
   ShardWorkerProxy(const ShardWorkerProxy&) = delete;
   ShardWorkerProxy& operator=(const ShardWorkerProxy&) = delete;
 
   /// fork/execs the worker and runs the versioned handshake; on success the
-  /// reader and heartbeat threads are live. The hello is kept for Respawn.
-  Status Spawn(const ipc::HelloMsg& hello);
-
-  /// Tells the worker to open its storage partition (kept for Respawn).
-  Status SendOpenPartition(const std::string& path, uint32_t fsync_every_n,
-                           uint64_t auto_checkpoint_bytes);
-
-  /// Sends one already-encoded command frame (Subscribe/Unsubscribe/
-  /// DomainRule payload carrying `seq`) and waits for its CmdAck.
-  Status Command(uint64_t seq, const std::string& payload);
-
-  /// Scatters one slot of `state` to the worker. The write is bounded by
-  /// command_timeout_ms — a wedged worker with a full socket buffer yields
-  /// DeadlineExceeded here instead of blocking the scatter thread. On any
-  /// error the slot is NOT accounted: the caller fails it.
-  Status SendSlot(const std::shared_ptr<BatchState>& state, uint64_t batch_seq,
-                  size_t slot, uint64_t docid_hint, Timestamp now);
-
-  /// Queues a partition checkpoint; `ticket` completes when the worker
-  /// reports CheckpointDone (or Unavailable if the worker dies first).
-  Status SendCheckpoint(std::shared_ptr<CheckpointTicket> ticket);
-
-  /// Remote DocumentsInDomain for the continuous-query read path.
-  Result<ipc::DomainDocsMsg> QueryDomain(const std::string& domain);
-
-  /// SIGKILL + full teardown + fresh Spawn with the stored hello, partition
-  /// command, and the pipeline's command replay log. Caller holds the
-  /// RestartShard serialization.
-  Status Respawn(const std::vector<std::pair<uint64_t, std::string>>& replay);
-
+  /// reader and heartbeat threads are live. A restart also points the fresh
+  /// worker at its partition file (it recovers from disk itself — the
+  /// supervisor never reopens a released partition) and replays the log.
+  Status Start(PipelineShard* shard) override;
   /// SIGKILL and tear down (threads joined, child reaped, fd closed).
-  /// Expected deaths (this, Shutdown) are not counted as crashes and do not
-  /// fire on_down.
-  void Kill();
-
-  /// Graceful stop: Shutdown frame, bounded wait for exit, SIGKILL fallback.
-  void Shutdown();
-
+  /// Expected deaths (this, the destructor) are not counted as crashes and
+  /// do not fire on_down.
+  void Stop() override;
+  /// The write is bounded by worker_command_timeout_ms — a wedged worker
+  /// with a full socket buffer yields DeadlineExceeded here instead of
+  /// blocking the scatter thread.
+  Status Send(const std::shared_ptr<BatchState>& batch, size_t slot,
+              uint64_t docid_hint) override;
+  Status Checkpoint(const std::shared_ptr<CheckpointTicket>& ticket) override;
+  /// Harvests the recovered partition supervisor-side, releases it, and
+  /// hands the file to the worker (kept for respawns).
+  Status Attach(storage::StorageHub* hub,
+                const std::function<void(const warehouse::Warehouse&)>&
+                    recovered) override;
+  /// Records the command in the replay log, sends it and waits for its ack.
+  Status Replicate(const ReplicaCommand& command) override;
+  /// A kQueryDomain RPC; the returned documents are re-parsed
+  /// (Parse∘Serialize is a fixpoint — lossless) into proxy-owned storage.
+  /// A down worker contributes nothing.
+  void CollectDocuments(
+      std::string_view domain,
+      std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>*
+          out) override;
+  /// Worker warehouse size, piggybacked on SlotResult/Pong/CheckpointDone.
+  uint64_t document_count() const override;
+  void AddStats(PipelineStats* out) const override;
   /// Synchronous death check (waitpid WNOHANG): runs the death path at a
   /// deterministic point — before a batch is scattered — instead of waiting
-  /// for the reader thread to notice the EOF. Returns true if the worker is
-  /// known dead (now or earlier).
-  bool PollDead();
-
-  /// The local PipelineShard whose stage counters mirror this worker's
-  /// (reader merges SlotResult deltas into it). Reset after RestartShard
-  /// swaps the shard object.
-  void set_counter_shard(PipelineShard* shard);
-
-  bool alive() const;
-  pid_t pid() const;
-  uint64_t respawns() const;
-  uint64_t crashes() const;
-  uint64_t proto_errors() const;
-  /// Milliseconds since the last frame from the worker; -1 before the
-  /// first.
-  int64_t last_heartbeat_ms() const;
-  /// Worker warehouse size, piggybacked on SlotResult/Pong/CheckpointDone.
-  uint64_t document_count() const;
-  void set_document_count(uint64_t count);
+  /// for the reader thread to notice the EOF. True if the worker is known
+  /// dead (now or earlier).
+  bool PollDead() override;
 
  private:
+  struct OwnedDoc {
+    warehouse::DocMeta meta;
+    xml::Document document;
+  };
+
+  Status Spawn();
+  /// Tells the worker to open its storage partition (`partition_cmd_`).
+  Status SendOpenPartition();
+  /// Sends one already-encoded command frame (carrying `seq`) and waits for
+  /// its CmdAck.
+  Status Command(uint64_t seq, const std::string& payload);
+  Result<ipc::DomainDocsMsg> QueryDomain(const std::string& domain);
+  void Shutdown();
   void ReaderLoop();
   void HeartbeatLoop();
   /// The one-and-only death path; idempotent. `expected` deaths skip the
@@ -150,8 +146,11 @@ class ShardWorkerProxy {
   void JoinThreads();
 
   const size_t shard_index_;
-  const Options options_;
+  const IngestPipeline::Options options_;
+  const std::shared_ptr<ReplayLog> replay_log_;
   const Supervision supervision_;
+  ipc::HelloMsg hello_;  // built once; every (re)spawn sends it
+  bool started_ = false;  // a later Start is a respawn
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;  // command acks + heartbeat stop
@@ -166,8 +165,7 @@ class ShardWorkerProxy {
   std::thread reader_;
   std::thread heartbeat_;
 
-  // Respawn state.
-  ipc::HelloMsg hello_;
+  // The worker's partition command (kept for restarts).
   bool has_partition_ = false;
   ipc::OpenPartitionMsg partition_cmd_;
 
@@ -185,6 +183,8 @@ class ShardWorkerProxy {
   uint64_t query_seq_ = 1u << 20;  // distinct range from command seqs
 
   PipelineShard* counter_shard_ = nullptr;
+  /// Documents handed out by the last CollectDocuments (caller thread only).
+  std::vector<std::unique_ptr<OwnedDoc>> documents_;
 
   // Telemetry.
   uint64_t respawns_ = 0;

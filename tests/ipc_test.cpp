@@ -1,7 +1,7 @@
 // Shard worker processes (DESIGN.md §14): the framed wire protocol, the
 // supervisor/worker handshake, and kill-and-restart containment.
 //
-// Four tiers:
+// Five tiers:
 //   1. Wire format — frame/message roundtrips, then the corruption sweep:
 //      truncations, bit flips, oversized length headers and seeded garbage
 //      against both the frame reader and every message decoder (clean
@@ -16,6 +16,9 @@
 //      caught by the heartbeat, and a worker dying mid-write: workers are
 //      respawned from their storage partitions, no acked subscription is
 //      lost, and the supervisor never dies.
+//   5. Shared barrier — contained stage throws account alike on thread
+//      shards and workers, and a batch deadline quarantines a stalled
+//      worker that the next batch boundary restarts from its partition.
 //
 // Wall-clock bounds scale with XYMON_TEST_TIME_SCALE (tests/time_scale.h).
 
@@ -874,6 +877,194 @@ TEST(KillSweepTest, WorkerDeathMidBatchDoesNotKillTheSupervisor) {
   (*monitor)->ProcessFetch("http://w0.example/probe.xml", "<p>v1</p>");
   (*monitor)->ProcessFetch("http://w0.example/probe.xml", "<p>v2</p>");
   EXPECT_GT((*monitor)->stats().notifications, before);
+}
+
+// --------------------------------------------------------- shared barrier --
+// Thread shards and worker processes run one scatter/barrier/gather; only
+// the ShardTransport under it differs. These pin the barrier's containment
+// accounting and its deadline on the process substrate.
+
+/// The four sweep subscriptions; false if any was refused.
+bool SubscribeSweep(XylemeMonitor& monitor) {
+  for (int i = 0; i < 4; ++i) {
+    if (!monitor
+             .Subscribe(testing::SweepSubText(i),
+                        "u" + std::to_string(i) + "@x")
+             .ok()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Version `round` of the twelve sweep URLs.
+std::vector<webstub::FetchedDoc> SweepBatch(int round) {
+  std::vector<webstub::FetchedDoc> batch;
+  for (int j = 0; j < 12; ++j) {
+    batch.push_back({testing::SweepUrl(j), testing::SweepBody(j, round)});
+  }
+  return batch;
+}
+
+struct AccountingRun {
+  std::vector<std::pair<std::string, std::string>> mail;  // (to, body)
+  XylemeMonitor::Stats stats;
+  system::PipelineStats pipeline;
+};
+
+/// Four rounds over the sweep URLs while `poison`'s detect stage throws on
+/// its first two calls: two contained failures quarantine the URL, and the
+/// last two rounds reject it at the scatter.
+AccountingRun RunPoisonWorkload(ShardMode mode, const std::string& dir,
+                                const std::string& poison) {
+  AccountingRun out;
+  // Per run: in process mode each worker builds its own injector from the
+  // plan, so a shared one would carry the thread run's call counts over.
+  StageFaultInjector injector(StageFaultPlan{
+      {{StageKind::kDetect, poison, 1, StageFaultKind::kThrow},
+       {StageKind::kDetect, poison, 2, StageFaultKind::kThrow}}});
+  SimClock clock(1000);
+  auto options = IpcOptions(mode, 2, dir);
+  options.stage_faults = &injector;
+  options.max_stage_failures_per_url = 2;
+  auto monitor = XylemeMonitor::Open(&clock, options);
+  EXPECT_TRUE(monitor.ok()) << monitor.status().ToString();
+  if (!monitor.ok()) return out;
+  EXPECT_TRUE(SubscribeSweep(**monitor));
+  for (int round = 1; round <= 4; ++round) {
+    (*monitor)->ProcessFetchBatch(SweepBatch(round));
+    clock.Advance(kDay);
+    (*monitor)->Tick();
+  }
+  for (const reporter::Email& email : (*monitor)->outbox().sent()) {
+    out.mail.emplace_back(email.to, email.body);
+  }
+  out.stats = (*monitor)->stats();
+  out.pipeline = (*monitor)->pipeline_stats();
+  return out;
+}
+
+TEST(SharedBarrierTest, ContainedThrowsAccountAlikeOnThreadsAndWorkers) {
+  const std::string poison = testing::SweepUrl(0);
+  TempDir thread_dir("poison_threads");
+  AccountingRun threads =
+      RunPoisonWorkload(ShardMode::kThread, thread_dir.path, poison);
+  ASSERT_FALSE(threads.mail.empty());
+  EXPECT_EQ(threads.pipeline.stage_failures, 2u);
+  EXPECT_EQ(threads.pipeline.poisoned_urls, 1u);
+  EXPECT_EQ(threads.pipeline.poison_rejections, 2u);
+  EXPECT_EQ(threads.pipeline.failed_documents, 4u);
+
+  TempDir worker_dir("poison_workers");
+  AccountingRun workers =
+      RunPoisonWorkload(ShardMode::kProcess, worker_dir.path, poison);
+  EXPECT_EQ(workers.mail, threads.mail);
+  EXPECT_EQ(workers.stats, threads.stats);
+  EXPECT_EQ(workers.pipeline.failed_documents,
+            threads.pipeline.failed_documents);
+  EXPECT_EQ(workers.pipeline.stage_failures, threads.pipeline.stage_failures);
+  EXPECT_EQ(workers.pipeline.poisoned_urls, threads.pipeline.poisoned_urls);
+  EXPECT_EQ(workers.pipeline.poison_rejections,
+            threads.pipeline.poison_rejections);
+  ASSERT_EQ(workers.pipeline.shard_status.size(), 2u);
+  EXPECT_EQ(workers.pipeline.shard_status, threads.pipeline.shard_status);
+  EXPECT_EQ(workers.pipeline.worker_crashes, 0u);
+}
+
+TEST(SharedBarrierTest, DeadlineQuarantinesAStalledWorkerAndRestartsIt) {
+  const std::string stalled = testing::SweepUrl(0);
+  // Round 1 establishes every document. Round 2 sends the stalled URL plus
+  // only the *other* worker's documents straight to the pipeline, so its
+  // outcomes are visible (and undelivered in both runs). Round 3 goes
+  // through the monitor, which restarts the quarantined shard first; its
+  // mail must equal the unstalled run's.
+  auto run = [&](bool stall, std::vector<std::string>* round3_mail) {
+    // The stall outlives the batch deadline but not the heartbeat timeout:
+    // the barrier's watchdog, not the wedge detector, releases the batch.
+    // All three bounds stretch together under XYMON_TEST_TIME_SCALE.
+    StageFaultInjector injector(StageFaultPlan{
+        {{StageKind::kDetect, stalled, 2, StageFaultKind::kStall,
+          ScaledMs(2000)}}});
+    TempDir dir(stall ? "deadline_stalled" : "deadline_clean");
+    SimClock clock(1000);
+    auto options = IpcOptions(ShardMode::kProcess, 2, dir.path);
+    if (stall) options.stage_faults = &injector;
+    options.batch_deadline_ms = ScaledMs(300);
+    options.worker_heartbeat_timeout_ms = ScaledMs(5000);
+    auto monitor = XylemeMonitor::Open(&clock, options);
+    ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+    ASSERT_TRUE(SubscribeSweep(**monitor));
+    (*monitor)->ProcessFetchBatch(SweepBatch(1));
+    clock.Advance(kDay);
+    (*monitor)->Tick();
+
+    system::IngestPipeline& pipeline = (*monitor)->pipeline();
+    const size_t stuck = pipeline.ShardFor(stalled);
+    std::vector<system::DocJob> jobs;
+    for (const webstub::FetchedDoc& doc : SweepBatch(2)) {
+      if (doc.url == stalled || pipeline.ShardFor(doc.url) != stuck) {
+        jobs.push_back({doc.url, doc.body, /*deletion=*/false});
+      }
+    }
+    ASSERT_GT(jobs.size(), 1u);
+    ASSERT_EQ(jobs[0].url, stalled);
+    std::vector<system::DocOutcome> outcomes;
+    pipeline.ProcessBatch(jobs, clock.Now(), /*sink=*/nullptr, &outcomes);
+    ASSERT_EQ(outcomes.size(), jobs.size());
+    for (size_t i = 1; i < outcomes.size(); ++i) {
+      EXPECT_FALSE(outcomes[i].failed) << jobs[i].url;
+    }
+    system::PipelineStats ps = (*monitor)->pipeline_stats();
+    if (stall) {
+      EXPECT_TRUE(outcomes[0].failed);
+      EXPECT_EQ(outcomes[0].failed_stage, "deadline");
+      EXPECT_EQ(outcomes[0].status.code(), StatusCode::kDeadlineExceeded)
+          << outcomes[0].status.ToString();
+      EXPECT_EQ(ps.deadline_exceeded, 1u);
+      EXPECT_EQ(ps.shard_status[stuck].health,
+                system::ShardHealth::kQuarantined);
+      EXPECT_EQ(ps.shard_status[stuck].deadline_failures, 1u);
+      EXPECT_EQ(ps.shard_status[1 - stuck].health,
+                system::ShardHealth::kHealthy);
+    } else {
+      EXPECT_FALSE(outcomes[0].failed);
+      EXPECT_EQ(ps.deadline_exceeded, 0u);
+    }
+
+    size_t sent_before = (*monitor)->outbox().sent().size();
+    (*monitor)->ProcessFetchBatch(SweepBatch(3));
+    clock.Advance(kDay);
+    (*monitor)->Tick();
+    for (size_t i = sent_before; i < (*monitor)->outbox().sent().size();
+         ++i) {
+      round3_mail->push_back((*monitor)->outbox().sent()[i].body);
+    }
+
+    ps = (*monitor)->pipeline_stats();
+    // One restart from the partition, by the supervisor's own hand: the
+    // kill that stopped the stalled worker is not a crash.
+    EXPECT_EQ(ps.shard_restarts, stall ? 1u : 0u);
+    EXPECT_EQ(ps.worker_respawns, stall ? 1u : 0u);
+    EXPECT_EQ(ps.worker_crashes, 0u);
+    EXPECT_TRUE((*monitor)->restart_status().ok())
+        << (*monitor)->restart_status().ToString();
+    for (const system::ShardStatus& ss : ps.shard_status) {
+      EXPECT_EQ(ss.health, system::ShardHealth::kHealthy);
+    }
+    for (const system::WorkerStatus& w : ps.workers) {
+      EXPECT_TRUE(w.alive);
+    }
+    EXPECT_EQ(pipeline.total_document_count(), 12u);
+  };
+
+  std::vector<std::string> stalled_round3;
+  run(/*stall=*/true, &stalled_round3);
+  if (::testing::Test::HasFatalFailure()) return;
+  std::vector<std::string> clean_round3;
+  run(/*stall=*/false, &clean_round3);
+
+  ASSERT_FALSE(clean_round3.empty());
+  EXPECT_EQ(stalled_round3, clean_round3);
 }
 
 }  // namespace

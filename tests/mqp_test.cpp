@@ -1,17 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 
 #include "src/mqp/aes_matcher.h"
 #include "src/mqp/brute_matcher.h"
 #include "src/mqp/counting_matcher.h"
 #include "src/mqp/map_aes_matcher.h"
-#include "src/mqp/parallel_pool.h"
 #include "src/mqp/processor.h"
 #include "src/mqp/workload.h"
 
@@ -296,140 +292,6 @@ TEST(AesMatcherTest, ManySharedPrefixes) {
     return s;
   }());
   EXPECT_EQ(all.size(), 500u);
-}
-
-
-// ------------------------------------------------------- ParallelMqpPool --
-
-TEST(ParallelMqpPoolTest, MatchesAcrossThreadsAgreeWithOracle) {
-  WorkloadParams wp;
-  wp.card_a = 500;
-  wp.card_c = 2000;
-  wp.d = 3;
-  wp.s = 25;
-  wp.seed = 77;
-  WorkloadGenerator gen(wp);
-  auto complex_events = gen.GenerateComplexEvents();
-
-  BruteForceMatcher oracle;
-  std::mutex mu;
-  std::map<uint64_t, std::vector<ComplexEventId>> got;
-  ParallelMqpPool pool(4, [&](const MqpNotification& n) {
-    std::lock_guard<std::mutex> lock(mu);
-    got[n.docid].push_back(n.complex_event);
-  });
-  for (ComplexEventId id = 0; id < complex_events.size(); ++id) {
-    ASSERT_TRUE(oracle.Insert(id, complex_events[id]).ok());
-    ASSERT_TRUE(pool.Register(id, complex_events[id]).ok());
-  }
-
-  auto docs = gen.GenerateDocuments(500);
-  for (uint64_t i = 0; i < docs.size(); ++i) {
-    AlertMessage alert;
-    alert.docid = i;
-    alert.events = docs[i];
-    pool.Submit(std::move(alert));
-  }
-  pool.Flush();
-  EXPECT_EQ(pool.documents_processed(), 500u);
-
-  for (uint64_t i = 0; i < docs.size(); ++i) {
-    auto expected = MatchSorted(oracle, docs[i]);
-    std::vector<ComplexEventId> actual;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      auto it = got.find(i);
-      if (it != got.end()) actual = it->second;
-    }
-    std::sort(actual.begin(), actual.end());
-    EXPECT_EQ(actual, expected) << "doc " << i;
-  }
-}
-
-TEST(ParallelMqpPoolTest, RegistrationQuiescesSafely) {
-  std::atomic<uint64_t> notifications{0};
-  ParallelMqpPool pool(3, [&](const MqpNotification&) { ++notifications; });
-  ASSERT_TRUE(pool.Register(1, {1, 2}).ok());
-
-  // Interleave submissions with registrations and unregistrations.
-  for (int round = 0; round < 20; ++round) {
-    for (int d = 0; d < 50; ++d) {
-      AlertMessage alert;
-      alert.docid = static_cast<uint64_t>(round * 50 + d);
-      alert.events = {1, 2, 3};
-      pool.Submit(std::move(alert));
-    }
-    ComplexEventId id = static_cast<ComplexEventId>(100 + round);
-    ASSERT_TRUE(pool.Register(id, {3, static_cast<AtomicEvent>(10 + round)}).ok());
-    if (round % 2 == 1) {
-      ASSERT_TRUE(pool.Unregister(id).ok());
-    }
-  }
-  pool.Flush();
-  EXPECT_EQ(pool.documents_processed(), 1000u);
-  // Every document matches complex event 1 on whichever replica it hit.
-  EXPECT_GE(notifications.load(), 1000u);
-}
-
-TEST(ParallelMqpPoolTest, DuplicateRegistrationRollsBack) {
-  ParallelMqpPool pool(2, [](const MqpNotification&) {});
-  ASSERT_TRUE(pool.Register(1, {5}).ok());
-  EXPECT_TRUE(pool.Register(1, {6}).IsAlreadyExists());
-  // The failed registration must not leave {6} behind on any replica.
-  std::atomic<uint64_t> hits{0};
-  // (Re-check by behaviour: submit a {6} document through a fresh pool is
-  // not possible here; instead unregister 1 and re-register with {6}.)
-  ASSERT_TRUE(pool.Unregister(1).ok());
-  ASSERT_TRUE(pool.Register(1, {6}).ok());
-  (void)hits;
-}
-
-TEST(ParallelMqpPoolTest, SameUrlAlwaysLandsOnSameReplica) {
-  // Stable hash(url) partitioning (not round-robin): every alert for one
-  // document must hit one replica, so successive versions of a page meet
-  // the same matcher state in submission order.
-  ParallelMqpPool pool(4, [](const MqpNotification&) {});
-  ASSERT_TRUE(pool.Register(1, {1}).ok());
-
-  const std::string url = "http://example.org/catalog.xml";
-  for (int i = 0; i < 100; ++i) {
-    AlertMessage alert;
-    alert.docid = 7;
-    alert.url = url;
-    alert.events = {1};
-    pool.Submit(std::move(alert));
-  }
-  pool.Flush();
-
-  std::vector<uint64_t> per_worker = pool.processed_per_worker();
-  ASSERT_EQ(per_worker.size(), 4u);
-  uint64_t total = 0;
-  uint64_t busiest = 0;
-  for (uint64_t count : per_worker) {
-    total += count;
-    busiest = std::max(busiest, count);
-  }
-  EXPECT_EQ(total, 100u);
-  // All 100 alerts for this URL on exactly one replica.
-  EXPECT_EQ(busiest, 100u);
-
-  // And different URLs spread: with 64 distinct URLs at least two of the
-  // four replicas must see traffic (FNV-1a would need a pathological
-  // collision streak to hit one bucket 64 times).
-  for (int i = 0; i < 64; ++i) {
-    AlertMessage alert;
-    alert.docid = static_cast<uint64_t>(100 + i);
-    alert.url = "http://example.org/page" + std::to_string(i) + ".xml";
-    alert.events = {1};
-    pool.Submit(std::move(alert));
-  }
-  pool.Flush();
-  per_worker = pool.processed_per_worker();
-  size_t replicas_hit = 0;
-  for (uint64_t count : per_worker) {
-    if (count > 0) ++replicas_hit;
-  }
-  EXPECT_GE(replicas_hit, 2u);
 }
 
 TEST(AesMatcherTest, StructureStatsDescribeTheTree) {
