@@ -282,7 +282,7 @@ class WorkerRuntime {
       wa.kind = static_cast<uint8_t>(action.kind);
       wa.subscription = std::move(action.subscription);
       wa.query_name = std::move(action.query_name);
-      wa.payload_xml = std::move(action.payload_xml);
+      wa.payload_xml = action.payload.xml();
       wa.event_key = std::move(action.event_key);
       result.actions.push_back(std::move(wa));
     }

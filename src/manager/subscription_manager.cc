@@ -30,6 +30,45 @@ bool IsUrlAlerterCondition(ConditionKind kind) {
   }
 }
 
+PayloadRecipe MakePayloadRecipe(const sublang::MonitoringQueryAst& mq,
+                                const std::vector<Condition>& disjunct) {
+  using Kind = sublang::SelectClause::Kind;
+  PayloadRecipe recipe;
+  recipe.kind = mq.select.kind;
+  if (recipe.kind == Kind::kVariable && !mq.from.has_value()) {
+    recipe.kind = Kind::kDefault;
+  }
+  switch (recipe.kind) {
+    case Kind::kDefault:
+      recipe.key = "d";
+      break;
+    case Kind::kTemplate:
+      recipe.template_xml = mq.select.template_xml;
+      recipe.key = "t" + recipe.template_xml;
+      break;
+    case Kind::kVariable:
+      recipe.tag = mq.from->tag;
+      for (const Condition& c : disjunct) {
+        if (c.kind == ConditionKind::kElementChange && c.tag == recipe.tag) {
+          recipe.change_op = c.change_op;
+          recipe.word = ToLower(c.word);
+          recipe.strict = c.strict;
+          break;
+        }
+      }
+      // Length-prefixed tag, so no (tag, word) split collides.
+      recipe.key = "v" +
+                   std::to_string(recipe.change_op.has_value()
+                                      ? static_cast<int>(*recipe.change_op)
+                                      : -1) +
+                   (recipe.strict ? 's' : 'n') +
+                   std::to_string(recipe.tag.size()) + ":" + recipe.tag +
+                   recipe.word;
+      break;
+  }
+  return recipe;
+}
+
 }  // namespace
 
 Status SubscriptionManager::AttachStorage(
@@ -351,7 +390,10 @@ Result<std::string> SubscriptionManager::SubscribeInternal(
 
   // 1. Monitoring queries -> atomic codes + complex events, one complex
   // event per disjunct of the where clause.
+  std::map<std::string, uint64_t> query_ids;
   for (const sublang::MonitoringQueryAst& mq : ast.monitoring) {
+    auto [query_id, fresh] = query_ids.try_emplace(mq.name, next_query_id_);
+    if (fresh) ++next_query_id_;
     for (const auto& disjunct : mq.disjuncts) {
       mqp::EventSet events;
       for (const Condition& condition : disjunct) {
@@ -372,8 +414,10 @@ Result<std::string> SubscriptionManager::SubscribeInternal(
         return st;
       }
       record.complex_events.push_back(complex_id);
-      bindings_.emplace(complex_id, QueryBinding{ast.name, mq.name, mq.select,
-                                                 mq.from, disjunct});
+      bindings_.emplace(complex_id,
+                        QueryBinding{ast.name, mq.name, query_id->second,
+                                     ast.name + "." + mq.name,
+                                     MakePayloadRecipe(mq, disjunct)});
     }
   }
 

@@ -23,15 +23,39 @@
 
 namespace xymon::manager {
 
+/// What a monitoring query's notification payloads are built from: exactly
+/// the binding fields BindingResolver reads, so bindings with equal recipes
+/// get identical payloads for one document, and the resolver builds them
+/// once per document however many subscribers share them (DESIGN.md §15).
+/// Fixed at registration.
+struct PayloadRecipe {
+  /// kDefault also stands for a variable select without a from clause: both
+  /// yield the alert's info_xml.
+  sublang::SelectClause::Kind kind = sublang::SelectClause::Kind::kDefault;
+  std::string template_xml;  // kTemplate: normalized, with $VAR$ placeholders
+  // kVariable: the elements bound by the from clause's tag, filtered by the
+  // where clause's first element condition on that tag (none: all of them).
+  std::string tag;
+  std::optional<xmldiff::ChangeOp> change_op;
+  std::string word;  // lower-cased; empty = no contains part
+  bool strict = false;
+  /// Canonical encoding of the fields above: equal keys <=> equal recipes.
+  std::string key;
+};
+
 /// What the system needs to know when a complex event fires: which
 /// subscription/query it belongs to and how to build the notification
-/// payload (select clause + from binding).
+/// payload, all precomputed at registration.
 struct QueryBinding {
   std::string subscription;
   std::string query_name;
-  sublang::SelectClause select;
-  std::optional<sublang::MonitoringFrom> from;
-  std::vector<alerters::Condition> conditions;
+  /// The dedup identity, one per (subscription, query name): the disjuncts
+  /// of one query share it, and so do same-named queries of one
+  /// subscription — a document notifies each at most once.
+  uint64_t query_id = 0;
+  /// "subscription.query_name", the event continuous queries wait on.
+  std::string trigger_key;
+  PayloadRecipe recipe;
 };
 
 /// The (Xyleme) Subscription Manager (paper §3): "chooses the internal codes
@@ -225,6 +249,7 @@ class SubscriptionManager {
   std::unordered_map<std::string, CodeEntry> codes_;
   mqp::AtomicEvent next_code_ = 1;
   mqp::ComplexEventId next_complex_ = 1;
+  uint64_t next_query_id_ = 1;
   std::map<std::string, SubRecord> subs_;
   std::unordered_map<mqp::ComplexEventId, QueryBinding> bindings_;
   /// The EventSet each live complex event was registered with — kept so

@@ -1,6 +1,5 @@
 #include "src/reporter/reporter.h"
 
-#include "src/xml/parser.h"
 #include "src/xml/serializer.h"
 
 namespace xymon::reporter {
@@ -24,6 +23,29 @@ bool CompareCount(uint64_t count, alerters::Comparator cmp, uint64_t bound) {
   return false;
 }
 
+/// The indented `<Report>` document over `buffer`, built from each payload's
+/// cached rendering. It is byte-for-byte Serialize({.indent = true}) of the
+/// tree with every payload's ReportChild() under a `<Report>` root: every
+/// child is an element, so a child's indentation never depends on its
+/// siblings.
+std::string ReportBody(const std::string& name, const std::string& date,
+                       const std::vector<Notification>& buffer) {
+  std::string body = "<Report subscription=\"" +
+                     xml::EscapeText(name, /*in_attribute=*/true) +
+                     "\" date=\"" +
+                     xml::EscapeText(date, /*in_attribute=*/true) + "\"";
+  const size_t head = body.size();
+  body += ">\n";
+  for (const Notification& n : buffer) body += n.payload.ReportRendering();
+  if (body.size() == head + 2) {
+    body.resize(head);
+    body += "/>\n";  // no child: an empty element
+  } else {
+    body += "</Report>\n";
+  }
+  return body;
+}
+
 }  // namespace
 
 Status Reporter::AddSubscription(const std::string& name,
@@ -38,13 +60,18 @@ Status Reporter::AddSubscription(const std::string& name,
   it->second.spec = spec;
   it->second.recipients = std::move(recipients);
   it->second.last_report_time = now;
+  index_.emplace(it->first, it);
   return Status::OK();
 }
 
 Status Reporter::RemoveSubscription(const std::string& name) {
-  if (subs_.erase(name) == 0) {
+  auto it = index_.find(name);
+  if (it == index_.end()) {
     return Status::NotFound("subscription '" + name + "'");
   }
+  SubMap::iterator sub = it->second;
+  index_.erase(it);
+  subs_.erase(sub);
   for (auto& [key, listeners] : virtual_listeners_) {
     (void)key;
     std::erase(listeners, name);
@@ -69,33 +96,40 @@ Status Reporter::AddVirtualListener(const std::string& virtual_sub,
   return Status::OK();
 }
 
-void Reporter::AddNotification(const Notification& notification) {
+void Reporter::AddNotification(Notification notification) {
   ++notifications_received_;
 
-  auto deliver = [this, &notification](const std::string& sub_name) {
-    auto it = subs_.find(sub_name);
-    if (it == subs_.end()) return;
-    SubState& sub = it->second;
-    // atmost N: stop registering notifications past the cap until the next
-    // report (paper §5.3).
-    if (sub.spec.atmost_count.has_value() &&
-        sub.buffer.size() >= *sub.spec.atmost_count) {
-      ++notifications_dropped_;
-    } else {
-      sub.buffer.push_back(notification);
-      ++sub.counts_by_query[notification.query_name];
-    }
-    MaybeReport(sub_name, &sub, notification.time);
-  };
-
-  deliver(notification.subscription);
-  auto vit = virtual_listeners_.find(
-      {notification.subscription, notification.query_name});
-  if (vit != virtual_listeners_.end()) {
-    for (const std::string& virtual_sub : vit->second) {
-      deliver(virtual_sub);
-    }
+  const std::vector<std::string>* listeners = nullptr;
+  if (!virtual_listeners_.empty()) {
+    auto vit = virtual_listeners_.find(
+        {notification.subscription, notification.query_name});
+    if (vit != virtual_listeners_.end()) listeners = &vit->second;
   }
+  auto it = index_.find(notification.subscription);
+  if (listeners == nullptr) {
+    if (it != index_.end()) Enqueue(it->second, std::move(notification));
+    return;
+  }
+  if (it != index_.end()) Enqueue(it->second, notification);
+  for (const std::string& virtual_sub : *listeners) {
+    auto vit = index_.find(virtual_sub);
+    if (vit != index_.end()) Enqueue(vit->second, notification);
+  }
+}
+
+void Reporter::Enqueue(SubMap::iterator it, Notification notification) {
+  SubState& sub = it->second;
+  const Timestamp time = notification.time;
+  // atmost N: stop registering notifications past the cap until the next
+  // report (paper §5.3).
+  if (sub.spec.atmost_count.has_value() &&
+      sub.buffer.size() >= *sub.spec.atmost_count) {
+    ++notifications_dropped_;
+  } else {
+    ++sub.counts_by_query[notification.query_name];
+    sub.buffer.push_back(std::move(notification));
+  }
+  MaybeReport(it->first, &sub, time);
 }
 
 bool Reporter::ConditionHolds(const SubState& sub, Timestamp now) const {
@@ -142,29 +176,24 @@ void Reporter::MaybeReport(const std::string& name, SubState* sub,
 
 void Reporter::GenerateReport(const std::string& name, SubState* sub,
                               Timestamp now) {
-  // Assemble the notification buffer as one XML document.
-  auto buffer_root = xml::Node::Element("Report");
-  buffer_root->SetAttribute("subscription", name);
-  buffer_root->SetAttribute("date", FormatTimestamp(now));
-  for (const Notification& n : sub->buffer) {
-    auto parsed = xml::ParseFragment(n.payload_xml);
-    if (parsed.ok()) {
-      buffer_root->AddChild(std::move(parsed).value());
-    } else if (!n.payload_xml.empty()) {
-      // Malformed payloads are preserved verbatim rather than lost.
-      buffer_root->AddElement("raw", n.payload_xml);
-    }
-  }
-
-  // Post-process with the report query, if any (the Xyleme Reporter step).
+  const std::string date = FormatTimestamp(now);
   std::string body;
   if (!sub->spec.query_text.empty() && engine_ != nullptr) {
+    // The report query (the Xyleme Reporter step) evaluates over the
+    // notification buffer assembled as one XML document.
+    auto buffer_root = xml::Node::Element("Report");
+    buffer_root->SetAttribute("subscription", name);
+    buffer_root->SetAttribute("date", date);
+    for (const Notification& n : sub->buffer) {
+      std::unique_ptr<xml::Node> child = n.payload.ReportChild();
+      if (child != nullptr) buffer_root->AddChild(std::move(child));
+    }
     auto parsed_query = query::ParseQuery("Report", sub->spec.query_text);
     if (parsed_query.ok()) {
       auto result = engine_->EvaluateOn(*parsed_query, *buffer_root);
       if (result.ok()) {
         result.value()->SetAttribute("subscription", name);
-        result.value()->SetAttribute("date", FormatTimestamp(now));
+        result.value()->SetAttribute("date", date);
         body = xml::Serialize(*result.value(), {.indent = true});
       }
     }
@@ -173,7 +202,7 @@ void Reporter::GenerateReport(const std::string& name, SubState* sub,
       body = xml::Serialize(*buffer_root, {.indent = true});
     }
   } else {
-    body = xml::Serialize(*buffer_root, {.indent = true});
+    body = ReportBody(name, date, sub->buffer);
   }
 
   Report report{name, now, body};

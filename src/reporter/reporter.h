@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "src/common/status.h"
 #include "src/query/engine.h"
 #include "src/reporter/outbox.h"
+#include "src/reporter/payload.h"
 #include "src/reporter/web_portal.h"
 #include "src/sublang/ast.h"
 
@@ -21,8 +23,8 @@ namespace xymon::reporter {
 /// or a continuous-query evaluation, addressed to a subscription.
 struct Notification {
   std::string subscription;
-  std::string query_name;   // monitoring or continuous query name
-  std::string payload_xml;  // XML fragment(s), opaque to the Reporter
+  std::string query_name;  // monitoring or continuous query name
+  Payload payload;         // shared with every other subscriber of the match
   Timestamp time = 0;
 };
 
@@ -67,9 +69,10 @@ class Reporter {
                             const std::string& target_sub,
                             const std::string& target_query);
 
-  /// Appends to the subscription's buffer and evaluates the report
-  /// condition.
-  void AddNotification(const Notification& notification);
+  /// Appends to the subscription's buffer (and to the buffers of its
+  /// virtual listeners — each gets a copy sharing the payload) and evaluates
+  /// the report condition. The subscription is found in O(1).
+  void AddNotification(Notification notification);
 
   /// Evaluates time-based conditions (periodic atoms, atmost-rate backlog,
   /// archive GC) and drains the outbox.
@@ -102,6 +105,11 @@ class Reporter {
     std::deque<Report> archive;
   };
 
+  using SubMap = std::map<std::string, SubState>;
+
+  /// Buffers `notification` in `it`'s subscription unless its atmost cap is
+  /// reached, then evaluates its report condition.
+  void Enqueue(SubMap::iterator it, Notification notification);
   bool ConditionHolds(const SubState& sub, Timestamp now) const;
   void MaybeReport(const std::string& name, SubState* sub, Timestamp now);
   void GenerateReport(const std::string& name, SubState* sub, Timestamp now);
@@ -109,7 +117,11 @@ class Reporter {
   Outbox* outbox_;
   WebPortal* web_portal_ = nullptr;
   const query::QueryEngine* engine_;
-  std::map<std::string, SubState> subs_;
+  /// Name-ordered: Tick walks it, so outbox sequence numbers do not depend
+  /// on registration order.
+  SubMap subs_;
+  /// The O(1) lookup beside it, keyed by views of subs_' own keys.
+  std::unordered_map<std::string_view, SubMap::iterator> index_;
   // (target sub, query) -> virtual subscriber names.
   std::map<std::pair<std::string, std::string>, std::vector<std::string>>
       virtual_listeners_;

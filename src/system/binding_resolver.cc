@@ -1,7 +1,9 @@
 #include "src/system/binding_resolver.h"
 
 #include <map>
-#include <set>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "src/common/string_util.h"
@@ -9,118 +11,132 @@
 #include "src/xml/serializer.h"
 
 namespace xymon::system {
+namespace {
 
-void BindingResolver::CollectPayloads(
-    const manager::QueryBinding& binding,
-    const mqp::MqpNotification& notification,
-    const warehouse::IngestResult& ingest,
-    std::vector<std::string>* payloads) const {
+using reporter::Payload;
+
+/// The payloads of one document, memoised by recipe. A payload reads its
+/// binding only through the recipe; everything else it reads — url, docid,
+/// status, domain, info_xml, the diff and the current tree — is the same for
+/// every match of one Resolve call. So each recipe is built once per
+/// document, and every subscriber sharing it gets the same Payload objects.
+class DocumentPayloads {
+ public:
+  explicit DocumentPayloads(const warehouse::IngestResult& ingest)
+      : ingest_(ingest) {}
+
+  const std::vector<Payload>& For(const manager::PayloadRecipe& recipe,
+                                  const mqp::MqpNotification& match) {
+    auto [it, fresh] = memo_.try_emplace(recipe.key);
+    if (fresh) it->second = Build(recipe, match);
+    return it->second;
+  }
+
+ private:
+  std::vector<Payload> Build(const manager::PayloadRecipe& recipe,
+                             const mqp::MqpNotification& match);
+
+  /// The paper's implemented behaviour: "notifications simply return the
+  /// URL of the document and basic informations" (§5.1). One payload for
+  /// every recipe that yields it.
+  const std::vector<Payload>& Info(const mqp::MqpNotification& match) {
+    if (info_.empty()) info_.emplace_back(match.info_xml);
+    return info_;
+  }
+
+  const warehouse::IngestResult& ingest_;
+  std::unordered_map<std::string_view, std::vector<Payload>> memo_;
+  std::vector<Payload> info_;
+};
+
+std::vector<Payload> DocumentPayloads::Build(
+    const manager::PayloadRecipe& recipe, const mqp::MqpNotification& match) {
   using sublang::SelectClause;
-  switch (binding.select.kind) {
+  switch (recipe.kind) {
     case SelectClause::Kind::kDefault:
-      // The paper's implemented behaviour: "notifications simply return the
-      // URL of the document and basic informations" (§5.1).
-      payloads->push_back(notification.info_xml);
-      return;
+      return Info(match);
 
     case SelectClause::Kind::kTemplate: {
       std::map<std::string, std::string> vars{
-          {"URL", notification.url},
-          {"DOCID", std::to_string(notification.docid)},
-          {"STATUS", warehouse::DocStatusName(ingest.meta.status)},
-          {"DOMAIN", ingest.meta.domain},
+          {"URL", match.url},
+          {"DOCID", std::to_string(match.docid)},
+          {"STATUS", warehouse::DocStatusName(ingest_.meta.status)},
+          {"DOMAIN", ingest_.meta.domain},
       };
-      auto expanded =
-          sublang::ExpandTemplate(binding.select.template_xml, vars);
-      payloads->push_back(expanded.ok() ? xml::Serialize(*expanded.value())
-                                        : notification.info_xml);
-      return;
+      auto expanded = sublang::ExpandTemplate(recipe.template_xml, vars);
+      if (!expanded.ok()) return Info(match);
+      return {Payload(xml::Serialize(*expanded.value()))};
     }
 
     case SelectClause::Kind::kVariable: {
-      if (!binding.from.has_value()) {
-        payloads->push_back(notification.info_xml);
-        return;
-      }
-      const std::string& tag = binding.from->tag;
-      // If the where clause constrains the variable with an element
-      // condition (`new X`, `updated X contains "w"`), select exactly the
-      // elements satisfying it; otherwise all elements bound by the from
-      // clause.
-      const alerters::Condition* element_cond = nullptr;
-      for (const alerters::Condition& c : binding.conditions) {
-        if (c.kind == alerters::ConditionKind::kElementChange && c.tag == tag) {
-          element_cond = &c;
-          break;
-        }
-      }
+      // Elements bound by the from clause; with an element condition on the
+      // variable (`new X`, `updated X contains "w"`), exactly those
+      // satisfying it.
       auto word_matches = [&](const xml::Node& el) {
-        if (element_cond == nullptr || element_cond->word.empty()) return true;
-        std::string text =
-            element_cond->strict ? [&] {
-              std::string direct;
-              for (const auto& child : el.children()) {
-                if (child->is_text()) direct += child->text();
-              }
-              return direct;
-            }()
-                                 : el.TextContent();
+        if (recipe.word.empty()) return true;
+        std::string text;
+        if (recipe.strict) {
+          for (const auto& child : el.children()) {
+            if (child->is_text()) text += child->text();
+          }
+        } else {
+          text = el.TextContent();
+        }
         for (const std::string& token : TokenizeWords(text)) {
-          if (token == ToLower(element_cond->word)) return true;
+          if (token == recipe.word) return true;
         }
         return false;
       };
-      if (element_cond != nullptr && element_cond->change_op.has_value()) {
-        for (const xmldiff::ElementChange& change : ingest.diff.changes) {
-          if (change.op == *element_cond->change_op &&
-              change.element->name() == tag && word_matches(*change.element)) {
-            payloads->push_back(xml::Serialize(*change.element));
+      std::vector<Payload> payloads;
+      if (recipe.change_op.has_value()) {
+        for (const xmldiff::ElementChange& change : ingest_.diff.changes) {
+          if (change.op == *recipe.change_op &&
+              change.element->name() == recipe.tag &&
+              word_matches(*change.element)) {
+            payloads.emplace_back(xml::Serialize(*change.element));
           }
         }
-      } else if (ingest.current != nullptr && ingest.current->root != nullptr) {
+      } else if (ingest_.current != nullptr &&
+                 ingest_.current->root != nullptr) {
         for (const xml::Node* el :
-             ingest.current->root->FindDescendants(tag)) {
-          if (word_matches(*el)) {
-            payloads->push_back(xml::Serialize(*el));
-          }
+             ingest_.current->root->FindDescendants(recipe.tag)) {
+          if (word_matches(*el)) payloads.emplace_back(xml::Serialize(*el));
         }
       }
-      if (payloads->empty()) {
-        payloads->push_back(notification.info_xml);
-      }
-      return;
+      if (payloads.empty()) return Info(match);
+      return payloads;
     }
   }
+  return {};
 }
+
+}  // namespace
 
 void BindingResolver::Resolve(const warehouse::IngestResult& ingest,
                               const std::vector<mqp::MqpNotification>& matches,
                               DocOutcome* out) const {
+  DocumentPayloads payloads(ingest);
   // A disjunctive where clause registers several complex events for one
   // monitoring query; a document satisfying more than one disjunct must
   // still notify the query only once.
-  std::set<std::pair<std::string, std::string>> notified;
+  std::unordered_set<uint64_t> notified;
+  notified.reserve(matches.size());
   for (const mqp::MqpNotification& match : matches) {
     const manager::QueryBinding* binding =
         manager_->FindBinding(match.complex_event);
     if (binding == nullptr) continue;
-    if (!notified.emplace(binding->subscription, binding->query_name).second) {
-      continue;
-    }
+    if (!notified.insert(binding->query_id).second) continue;
 
-    std::vector<std::string> payloads;
-    CollectPayloads(*binding, match, ingest, &payloads);
-    for (std::string& payload : payloads) {
+    for (const Payload& payload : payloads.For(binding->recipe, match)) {
       out->actions.push_back(DeliveryAction{
           DeliveryAction::Kind::kNotification, binding->subscription,
-          binding->query_name, std::move(payload), /*event_key=*/{}});
+          binding->query_name, payload, /*event_key=*/{}});
     }
     // Wake continuous queries listening on this monitoring query (§5.2's
     // `when XylemeCompetitors.ChangeInMyProducts`).
     out->actions.push_back(DeliveryAction{
         DeliveryAction::Kind::kTriggerEvent, /*subscription=*/{},
-        /*query_name=*/{}, /*payload_xml=*/{},
-        binding->subscription + "." + binding->query_name});
+        /*query_name=*/{}, /*payload=*/{}, binding->trigger_key});
   }
 }
 

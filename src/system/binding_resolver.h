@@ -13,7 +13,9 @@ namespace xymon::system {
 
 /// Stage 4a as a standalone component: complex-event matches → deliverable
 /// DeliveryActions, via the manager's QueryBindings (binding lookup,
-/// per-query dedup, select-clause payload assembly). Factored out of
+/// per-query dedup, select-clause payload assembly). Payloads are memoised
+/// per document by the binding's PayloadRecipe: subscribers sharing a recipe
+/// share one Payload object, built once (DESIGN.md §15). Factored out of
 /// XylemeMonitor so a shard worker *process* can run the identical
 /// resolution over its own replayed SubscriptionManager (DESIGN.md §14) —
 /// the actions it ships back over the wire are byte-identical to what the
@@ -21,6 +23,8 @@ namespace xymon::system {
 ///
 /// Read-only over the manager; the caller quiesces every mutation of
 /// manager state around batches (the same contract as NotifyResolver).
+/// Stateless — the memo lives in one Resolve call — so one instance serves
+/// every shard thread.
 class BindingResolver : public NotifyResolver {
  public:
   explicit BindingResolver(const manager::SubscriptionManager* manager)
@@ -31,11 +35,6 @@ class BindingResolver : public NotifyResolver {
                DocOutcome* out) const override;
 
  private:
-  void CollectPayloads(const manager::QueryBinding& binding,
-                       const mqp::MqpNotification& notification,
-                       const warehouse::IngestResult& ingest,
-                       std::vector<std::string>* payloads) const;
-
   const manager::SubscriptionManager* manager_;
 };
 

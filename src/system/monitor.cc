@@ -251,8 +251,8 @@ void XylemeMonitor::Deliver(const DocJob& job, DocOutcome& outcome) {
     switch (action.kind) {
       case DeliveryAction::Kind::kNotification:
         reporter_.AddNotification(reporter::Notification{
-            action.subscription, action.query_name,
-            std::move(action.payload_xml), now});
+            std::move(action.subscription), std::move(action.query_name),
+            std::move(action.payload), now});
         ++stats_.notifications;
         break;
       case DeliveryAction::Kind::kTriggerEvent:

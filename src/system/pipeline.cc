@@ -786,8 +786,13 @@ Status IngestPipeline::RestartShard(size_t index) {
     for (auto it = poisoned_.begin(); it != poisoned_.end();) {
       it = ShardFor(*it) == index ? poisoned_.erase(it) : std::next(it);
     }
-    // Re-register subscriptions on the fresh detection replica.
-    if (restart_hook_) st = restart_hook_(index);
+  }
+  // Re-register subscriptions on the fresh detection replica, even when
+  // Start failed: the old replica is gone, and the manager must not keep
+  // pointing into it.
+  if (restart_hook_) {
+    Status rebound = restart_hook_(index);
+    if (st.ok()) st = rebound;
   }
   // Failing leaves the shard quarantined: the caller sees the error and
   // the scatter keeps routing around it.

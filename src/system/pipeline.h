@@ -18,6 +18,7 @@
 #include "src/common/clock.h"
 #include "src/common/result.h"
 #include "src/mqp/processor.h"
+#include "src/reporter/payload.h"
 #include "src/storage/storage_hub.h"
 #include "src/warehouse/warehouse.h"
 
@@ -85,7 +86,9 @@ struct DeliveryAction {
   // kNotification:
   std::string subscription;
   std::string query_name;
-  std::string payload_xml;
+  /// Shared with the other subscribers of the same recipe on this document;
+  /// after Resolve returns, only the gather thread touches it.
+  reporter::Payload payload;
   // kTriggerEvent:
   std::string event_key;
 };
@@ -535,10 +538,11 @@ class IngestPipeline {
   void set_resolver(const NotifyResolver* resolver) { resolver_ = resolver; }
 
   /// Called at the end of RestartShard with the shard index, after the
-  /// replacement shard is attached to storage and its worker is running —
-  /// the owner re-registers subscriptions on the fresh detection replica
-  /// (SubscriptionManager::RebindReplica). A non-ok return fails the
-  /// restart (the shard stays quarantined).
+  /// replacement shard's transport was started — the owner re-registers
+  /// subscriptions on the fresh detection replica
+  /// (SubscriptionManager::RebindReplica). It runs even when the start
+  /// failed, since the old replica is destroyed either way. A non-ok return
+  /// fails the restart (the shard stays quarantined).
   void set_restart_hook(std::function<Status(size_t)> hook) {
     restart_hook_ = std::move(hook);
   }

@@ -1,5 +1,6 @@
 #include "src/system/worker_proxy.h"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -8,6 +9,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <string_view>
+#include <unordered_map>
 
 #include "src/system/stage_faults.h"
 #include "src/xml/parser.h"
@@ -23,6 +26,37 @@ int64_t SteadyMicros() {
 }
 
 }  // namespace
+
+DocOutcome OutcomeFromWire(ipc::SlotResultMsg msg) {
+  DocOutcome out;
+  out.processed = msg.processed != 0;
+  out.degraded = msg.degraded != 0;
+  out.alert = msg.alert != 0;
+  out.failed = msg.failed != 0;
+  out.failed_stage = std::move(msg.failed_stage);
+  out.status =
+      ipc::DecodeStatus(msg.status_code, std::move(msg.status_message));
+  // Keyed by views of the interned payloads' own strings.
+  std::unordered_map<std::string_view, reporter::Payload> interned;
+  out.actions.reserve(msg.actions.size());
+  for (ipc::WireAction& a : msg.actions) {
+    DeliveryAction action;
+    action.kind = static_cast<DeliveryAction::Kind>(a.kind);
+    action.subscription = std::move(a.subscription);
+    action.query_name = std::move(a.query_name);
+    if (!a.payload_xml.empty()) {
+      auto it = interned.find(a.payload_xml);
+      if (it == interned.end()) {
+        reporter::Payload payload(std::move(a.payload_xml));
+        it = interned.emplace(payload.xml(), payload).first;
+      }
+      action.payload = it->second;
+    }
+    action.event_key = std::move(a.event_key);
+    out.actions.push_back(std::move(action));
+  }
+  return out;
+}
 
 const std::string& ReplayLog::Record(const ReplicaCommand& command) {
   if (!entries_.empty() && entries_.back().first == command.seq) {
@@ -143,8 +177,14 @@ Status ShardWorkerProxy::Spawn() {
   }
   if (pid == 0) {
     // Child, forked from a threaded supervisor: only async-signal-safe
-    // calls until exec. dup2 clears CLOEXEC on the worker's end.
-    if (dup2(sv[1], 3) < 0) _exit(126);
+    // calls until exec. dup2 clears CLOEXEC on the worker's end — unless
+    // that end already is fd 3 (the supervisor started with fd 0, 1 or 2
+    // closed), where dup2 is a no-op and the flag must be cleared by hand.
+    if (sv[1] == 3) {
+      if (fcntl(3, F_SETFD, 0) < 0) _exit(126);
+    } else if (dup2(sv[1], 3) < 0) {
+      _exit(126);
+    }
     char arg_fd[] = "3";
     char* argv[] = {const_cast<char*>(binary.c_str()), arg_fd, nullptr};
     execv(binary.c_str(), argv);
@@ -573,25 +613,8 @@ void ShardWorkerProxy::ReaderLoop() {
           counters->notify_counts.documents += msg.notify.documents;
           counters->notify_counts.micros += msg.notify.micros;
         }
-        DocOutcome out;
-        out.processed = msg.processed != 0;
-        out.degraded = msg.degraded != 0;
-        out.alert = msg.alert != 0;
-        out.failed = msg.failed != 0;
-        out.failed_stage = std::move(msg.failed_stage);
-        out.status = ipc::DecodeStatus(msg.status_code,
-                                       std::move(msg.status_message));
-        out.actions.reserve(msg.actions.size());
-        for (ipc::WireAction& a : msg.actions) {
-          DeliveryAction action;
-          action.kind = static_cast<DeliveryAction::Kind>(a.kind);
-          action.subscription = std::move(a.subscription);
-          action.query_name = std::move(a.query_name);
-          action.payload_xml = std::move(a.payload_xml);
-          action.event_key = std::move(a.event_key);
-          out.actions.push_back(std::move(action));
-        }
-        bs->Publish(msg.slot, std::move(out));
+        const size_t slot = msg.slot;
+        bs->Publish(slot, OutcomeFromWire(std::move(msg)));
         break;
       }
       case ipc::MsgType::kCmdAck: {
@@ -728,23 +751,27 @@ void ShardWorkerProxy::HeartbeatLoop() {
 
 void ShardWorkerProxy::HandleDown(const std::string& reason,
                                   bool proto_error) {
-  bool notify = false;
   std::function<void(size_t, const std::string&)> on_down;
   {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (dead_ || !spawned_) return;  // first death wins; others are echoes
     dead_ = true;
     if (proto_error) proto_errors_++;
     if (!expected_down_) {
       crashes_++;
-      notify = true;
       on_down = supervision_.on_down;
     }
+  }
+  // Quarantine before the failed slots below release the barrier: the
+  // caller leaving it must already see the shard down, or its restart sweep
+  // runs first and nothing respawns the worker.
+  if (on_down) on_down(shard_index_, reason);
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
     FailOutstandingLocked(lock);
     ReapLocked();
   }
   cv_.notify_all();
-  if (notify && on_down) on_down(shard_index_, reason);
 }
 
 void ShardWorkerProxy::FailOutstandingLocked(

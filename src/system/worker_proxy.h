@@ -38,6 +38,12 @@ class ReplayLog {
   std::vector<std::pair<uint64_t, std::string>> entries_;
 };
 
+/// The DocOutcome a worker's SlotResult carries (the stage deltas aside).
+/// Workers ship one payload string per action; identical strings within the
+/// result become one shared Payload again, as the resolver shared them
+/// before the wire copied them (DESIGN.md §15).
+DocOutcome OutcomeFromWire(ipc::SlotResultMsg msg);
+
 /// The process substrate for one shard (DESIGN.md §14): a ShardTransport
 /// over a fork/exec'd worker process on a socketpair, with the framed wire
 /// conversation and the supervision machinery.

@@ -103,7 +103,7 @@ std::string EscapeText(std::string_view text, bool in_attribute) {
 
 std::string Serialize(const Node& node, const SerializeOptions& opts) {
   std::string out;
-  SerializeNode(node, opts, 0, &out);
+  SerializeNode(node, opts, opts.depth, &out);
   return out;
 }
 
@@ -117,7 +117,7 @@ std::string Serialize(const Document& doc, const SerializeOptions& opts) {
       out += ">\n";
     }
   }
-  if (doc.root) SerializeNode(*doc.root, opts, 0, &out);
+  if (doc.root) SerializeNode(*doc.root, opts, opts.depth, &out);
   return out;
 }
 

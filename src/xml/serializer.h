@@ -12,6 +12,10 @@ struct SerializeOptions {
   bool indent = false;
   /// Emit the <?xml version="1.0"?> declaration and DOCTYPE (Document only).
   bool prolog = false;
+  /// Indentation depth of the serialized node itself: with `indent`, a
+  /// subtree serialized at depth d is byte-identical to its serialization
+  /// as a depth-d child inside an element-only parent.
+  int depth = 0;
 };
 
 /// Serializes a subtree. Text is escaped so that Parse(Serialize(t)) == t.

@@ -11,11 +11,12 @@
 //   3. Equivalence — the seeded workload (monitoring subscriptions plus a
 //      continuous query over the remote document source) at shard_mode =
 //      process with 2 and 4 workers delivers bit-for-bit the inline
-//      1-shard mail, with the same MQP tree shape and document count.
+//      1-shard mail, with the same MQP tree shape and document count; so
+//      do 2 workers spawned by a supervisor started without stdin.
 //   4. Containment — SIGKILL at every batch boundary, a mid-batch wedge
-//      caught by the heartbeat, and a worker dying mid-write: workers are
-//      respawned from their storage partitions, no acked subscription is
-//      lost, and the supervisor never dies.
+//      caught by the heartbeat, a worker dying mid-write, and a respawn
+//      that fails: workers are respawned from their storage partitions, no
+//      acked subscription is lost, and the supervisor never dies.
 //   5. Shared barrier — contained stage throws account alike on thread
 //      shards and workers, and a batch deadline quarantines a stalled
 //      worker that the next batch boundary restarts from its partition.
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -43,6 +45,7 @@
 #include "src/ipc/wire.h"
 #include "src/system/monitor.h"
 #include "src/system/stage_faults.h"
+#include "src/system/worker_proxy.h"
 #include "src/webstub/crawler.h"
 
 namespace xymon {
@@ -198,6 +201,40 @@ TEST(WireMessageTest, SlotResultRoundtripsActionsAndDeltas) {
   EXPECT_EQ(got.ingest.micros, 1200u);
   EXPECT_EQ(got.notify.documents, 1u);
   EXPECT_EQ(got.document_count, 19u);
+}
+
+TEST(WireMessageTest, DecodedPayloadsAreSharedPerDistinctString) {
+  // Workers ship one string per action; the supervisor maps the identical
+  // strings of one SlotResult back onto one shared payload.
+  ipc::SlotResultMsg msg;
+  msg.processed = 1;
+  msg.alert = 1;
+  msg.actions.push_back({0, "S1", "q", "<Hit a=\"1\"/>", ""});
+  msg.actions.push_back({1, "", "", "", "S1.q"});
+  msg.actions.push_back({0, "S2", "q", "<Hit a=\"1\"/>", ""});
+  msg.actions.push_back({0, "S3", "q", "<Other/>", ""});
+  msg.actions.push_back({0, "S4", "q", "<Hit a=\"1\"/>", ""});
+  msg.actions.push_back({0, "S5", "q", "<Other/>", ""});
+
+  system::DocOutcome out = system::OutcomeFromWire(msg);
+  ASSERT_EQ(out.actions.size(), 6u);
+  EXPECT_TRUE(out.processed);
+  EXPECT_TRUE(out.alert);
+  const auto& a = out.actions;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].payload.xml(), msg.actions[i].payload_xml) << i;
+    EXPECT_EQ(a[i].subscription, msg.actions[i].subscription) << i;
+    EXPECT_EQ(a[i].event_key, msg.actions[i].event_key) << i;
+  }
+  EXPECT_EQ(a[1].kind, system::DeliveryAction::Kind::kTriggerEvent);
+  EXPECT_TRUE(a[0].payload.SharesWith(a[2].payload));
+  EXPECT_TRUE(a[0].payload.SharesWith(a[4].payload));
+  EXPECT_TRUE(a[3].payload.SharesWith(a[5].payload));
+  EXPECT_FALSE(a[0].payload.SharesWith(a[3].payload));
+
+  // Sharing is per result: another SlotResult decodes its own objects.
+  system::DocOutcome again = system::OutcomeFromWire(msg);
+  EXPECT_FALSE(again.actions[0].payload.SharesWith(a[0].payload));
 }
 
 TEST(WireMessageTest, DomainDocsRoundtripsMetaAndBody) {
@@ -491,9 +528,12 @@ pid_t SpawnRawWorker(int* fd) {
   EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   pid_t pid = fork();
   if (pid == 0) {
-    dup2(sv[1], 3);
-    close(sv[0]);
-    close(sv[1]);
+    // Either end may itself be fd 3: never close what was just installed.
+    if (sv[0] != 3) close(sv[0]);
+    if (sv[1] != 3) {
+      dup2(sv[1], 3);
+      close(sv[1]);
+    }
     char fd_arg[] = "3";
     char* const argv[] = {const_cast<char*>(kWorkerBin), fd_arg, nullptr};
     execv(kWorkerBin, argv);
@@ -746,6 +786,77 @@ TEST(ProcessModeTest, MissingWorkerBinaryFailsOpen) {
   EXPECT_FALSE(monitor.ok());
 }
 
+/// Frees `fd` for its lifetime and then restores whatever it was.
+class FreedFd {
+ public:
+  explicit FreedFd(int fd) : fd_(fd), saved_(fcntl(fd, F_DUPFD_CLOEXEC, 10)) {
+    if (saved_ >= 0) close(fd_);
+  }
+  ~FreedFd() {
+    if (saved_ >= 0) {
+      dup2(saved_, fd_);
+      close(saved_);
+    }
+  }
+  FreedFd(const FreedFd&) = delete;
+  FreedFd& operator=(const FreedFd&) = delete;
+
+ private:
+  int fd_;
+  int saved_;
+};
+
+/// The mail of a small in-memory workload, on `mode` with two shards.
+std::vector<std::pair<std::string, std::string>> TwoShardMail(
+    ShardMode mode, Status* worker_status) {
+  SimClock clock(1000);
+  XylemeMonitor::Options options;
+  options.num_shards = 2;
+  options.shard_mode = mode;
+  options.worker_binary = kWorkerBin;
+  XylemeMonitor monitor(&clock, options);
+  *worker_status = monitor.pipeline().worker_status();
+  if (!worker_status->ok()) return {};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(monitor
+                    .Subscribe(testing::SweepSubText(i),
+                               "u" + std::to_string(i) + "@x")
+                    .ok());
+  }
+  for (int round = 1; round <= 3; ++round) {
+    std::vector<webstub::FetchedDoc> batch;
+    for (int j = 0; j < 6; ++j) {
+      batch.push_back({testing::SweepUrl(j), testing::SweepBody(j, round)});
+    }
+    monitor.ProcessFetchBatch(batch);
+    clock.Advance(kDay);
+    monitor.Tick();
+  }
+  std::vector<std::pair<std::string, std::string>> mail;
+  for (const reporter::Email& email : monitor.outbox().sent()) {
+    mail.emplace_back(email.to, email.body);
+  }
+  return mail;
+}
+
+TEST(ProcessModeTest, WorkerGetsItsSocketWhenTheSupervisorStartsWithoutStdin) {
+  Status thread_status;
+  auto thread_mail = TwoShardMail(ShardMode::kThread, &thread_status);
+  ASSERT_FALSE(thread_mail.empty());
+
+  // With fds 0 and 3 free, the first worker's socketpair is {0, 3}: its end
+  // is already fd 3 when the child would dup2 it there.
+  Status process_status;
+  std::vector<std::pair<std::string, std::string>> process_mail;
+  {
+    FreedFd stdin_fd(0);
+    FreedFd fd3(3);
+    process_mail = TwoShardMail(ShardMode::kProcess, &process_status);
+  }
+  EXPECT_TRUE(process_status.ok()) << process_status.ToString();
+  EXPECT_EQ(process_mail, thread_mail);
+}
+
 // ------------------------------------------------------------- kill sweep --
 
 TEST(KillSweepTest, SigkillAtEveryBatchBoundaryRespawnsFromStorage) {
@@ -836,6 +947,54 @@ TEST(KillSweepTest, MidBatchWedgeIsKilledByHeartbeatAndRespawned) {
   (*monitor)->ProcessFetch("http://w0.example/probe.xml", "<p>v1</p>");
   (*monitor)->ProcessFetch("http://w0.example/probe.xml", "<p>v2</p>");
   EXPECT_GT((*monitor)->stats().notifications, before);
+}
+
+TEST(KillSweepTest, FailedRespawnLeavesTheMonitorUsable) {
+  // A restart destroys the shard's detection replica before it starts the
+  // worker again; when that start fails, the subscription manager must
+  // still be rebound to the fresh replica, or the next Subscribe writes
+  // into the destroyed one.
+  TempDir dir("failed_respawn");
+  const std::string binary = dir.path + "/worker";
+  std::filesystem::copy_file(kWorkerBin, binary);
+  SimClock clock(1000);
+  XylemeMonitor::Options options;
+  options.num_shards = 2;
+  options.shard_mode = ShardMode::kProcess;
+  options.worker_binary = binary;
+  XylemeMonitor monitor(&clock, options);
+  ASSERT_TRUE(monitor.pipeline().worker_status().ok());
+  ASSERT_TRUE(monitor.Subscribe(testing::SweepSubText(0), "u0@x").ok());
+
+  // The binary disappears, then worker 0 dies: every respawn fails.
+  std::filesystem::remove(binary);
+  kill(monitor.pipeline().worker_pid(0), SIGKILL);
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        monitor.pipeline().PollWorkers();
+        return !monitor.pipeline_stats().workers[0].alive;
+      },
+      ScaledMs(5000)));
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_TRUE(monitor
+                    .Subscribe(testing::SweepSubText(i),
+                               "u" + std::to_string(i) + "@x")
+                    .ok());
+  }
+  EXPECT_FALSE(monitor.restart_status().ok());
+
+  // With the binary back, the next batch respawns the worker, which
+  // replays every subscription.
+  std::filesystem::copy_file(kWorkerBin, binary);
+  for (int round = 1; round <= 2; ++round) {
+    std::vector<webstub::FetchedDoc> batch;
+    for (int j = 0; j < 6; ++j) {
+      batch.push_back({testing::SweepUrl(j), testing::SweepBody(j, round)});
+    }
+    monitor.ProcessFetchBatch(batch);
+  }
+  EXPECT_TRUE(monitor.pipeline_stats().workers[0].alive);
+  EXPECT_GT(monitor.stats().notifications, 0u);
 }
 
 TEST(KillSweepTest, WorkerDeathMidBatchDoesNotKillTheSupervisor) {

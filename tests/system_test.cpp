@@ -421,5 +421,175 @@ TEST_F(SystemTest, StatusReportDescribesEveryModule) {
   EXPECT_EQ(*doc->root->FindChild("MQP")->GetAttribute("algorithm"), "aes");
 }
 
+// ---------------------------------------------------- Fan-out by reference --
+
+/// A BindingResolver that keeps the actions of the last document it resolved
+/// (copies of the handles: they share the resolver's payload objects).
+class RecordingResolver : public NotifyResolver {
+ public:
+  explicit RecordingResolver(const manager::SubscriptionManager* manager)
+      : inner_(manager) {}
+
+  void Resolve(const warehouse::IngestResult& ingest,
+               const std::vector<mqp::MqpNotification>& matches,
+               DocOutcome* out) const override {
+    inner_.Resolve(ingest, matches, out);
+    actions = out->actions;
+  }
+
+  /// The notification payloads resolved for `subscription`.
+  std::vector<reporter::Payload> PayloadsOf(const std::string& subscription) const {
+    std::vector<reporter::Payload> out;
+    for (const DeliveryAction& action : actions) {
+      if (action.kind == DeliveryAction::Kind::kNotification &&
+          action.subscription == subscription) {
+        out.push_back(action.payload);
+      }
+    }
+    return out;
+  }
+
+  mutable std::vector<DeliveryAction> actions;
+
+ private:
+  BindingResolver inner_;
+};
+
+std::string ShopSub(const std::string& name, const std::string& query) {
+  return "subscription " + name + "\nmonitoring\n" + query +
+         "\nreport when immediate\n";
+}
+
+bool AllShared(const std::vector<reporter::Payload>& a,
+               const std::vector<reporter::Payload>& b) {
+  if (a.size() != b.size() || a.empty()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!a[i].SharesWith(b[i])) return false;
+  }
+  return true;
+}
+
+bool AnyShared(const std::vector<reporter::Payload>& a,
+               const std::vector<reporter::Payload>& b) {
+  for (const reporter::Payload& x : a) {
+    for (const reporter::Payload& y : b) {
+      if (x.SharesWith(y)) return true;
+    }
+  }
+  return false;
+}
+
+TEST_F(SystemTest, SubscribersSharingARecipeShareOnePayloadPerDocument) {
+  const std::string where = "where URL extends \"http://shop.example/\" and ";
+  const std::vector<std::pair<std::string, std::string>> subs = {
+      // Equal recipes: each pair must share.
+      {"NewA", "select X from self//Product X\n" + where + "new X"},
+      {"NewB", "select X from self//Product X\n" + where + "new X"},
+      {"HitA", "select <Hit url=URL/>\n" + where + "self contains \"stereo\""},
+      {"HitB", "select <Hit url=URL/>\n" + where + "self contains \"stereo\""},
+      {"DefA", "select default\n" + where + "self contains \"stereo\""},
+      {"DefB", "select default\n" + where + "self contains \"stereo\""},
+      // Nothing bound: falls back to the default payload, and shares it.
+      {"Missing",
+       "select X from self//Missing X\n" + where + "self contains \"stereo\""},
+      // Each differs from a recipe above in one field only: never shared.
+      {"Camera", "select X from self//Product X\n" + where +
+                     "new X contains \"camera\""},
+      {"Stereo", "select X from self//Product X\n" + where +
+                     "new X contains \"stereo\""},                    // word
+      {"StrictCamera", "select X from self//Product X\n" + where +
+                           "new X strict contains \"camera\""},      // strict
+      {"UpdatedCamera", "select X from self//Product X\n" + where +
+                            "updated X contains \"camera\""},        // op
+      {"FromProduct", "select X from self//Product X\n" + where +
+                          "self contains \"stereo\""},
+      {"FromPrice", "select X from self//price X\n" + where +
+                        "self contains \"stereo\""},                 // tag
+      {"HitStatus", "select <Hit url=URL status=STATUS/>\n" + where +
+                        "self contains \"stereo\""},                 // template
+  };
+  for (const auto& [name, query] : subs) {
+    ASSERT_TRUE(monitor_.Subscribe(ShopSub(name, query), "u@x").ok()) << name;
+  }
+  RecordingResolver recorder(&monitor_.manager());
+  monitor_.pipeline().set_resolver(&recorder);
+
+  const std::string url = "http://shop.example/catalog.xml";
+  monitor_.ProcessFetch(url,
+                        "<catalog><Product>camera one<price>1</price></Product>"
+                        "</catalog>");
+  clock_.Advance(kDay);
+  monitor_.ProcessFetch(url,
+                        "<catalog><Product>camera one<price>2</price></Product>"
+                        "<Product>camera two<price>5</price></Product>"
+                        "<Product>stereo three<price>7</price></Product>"
+                        "</catalog>");
+  auto of = [&](const char* sub) { return recorder.PayloadsOf(sub); };
+
+  // One object per recipe, whoever subscribes to it.
+  EXPECT_EQ(of("NewA").size(), 2u);
+  EXPECT_TRUE(AllShared(of("NewA"), of("NewB")));
+  EXPECT_TRUE(AllShared(of("HitA"), of("HitB")));
+  EXPECT_TRUE(AllShared(of("DefA"), of("DefB")));
+  EXPECT_TRUE(AllShared(of("DefA"), of("Missing")));
+
+  // Different recipes never share, even where their bytes agree.
+  for (const char* sub : {"Camera", "Stereo", "StrictCamera", "UpdatedCamera",
+                          "FromProduct", "FromPrice", "HitStatus"}) {
+    EXPECT_FALSE(of(sub).empty()) << sub;
+  }
+  EXPECT_FALSE(AnyShared(of("Camera"), of("Stereo")));
+  EXPECT_FALSE(AnyShared(of("Camera"), of("StrictCamera")));
+  EXPECT_FALSE(AnyShared(of("Camera"), of("UpdatedCamera")));
+  EXPECT_FALSE(AnyShared(of("Camera"), of("NewA")));
+  EXPECT_FALSE(AnyShared(of("FromProduct"), of("FromPrice")));
+  EXPECT_FALSE(AnyShared(of("HitA"), of("HitStatus")));
+
+  // And each carries what its own recipe selects.
+  ASSERT_EQ(of("Camera").size(), 1u);
+  EXPECT_NE(of("Camera")[0].xml().find("camera two"), std::string::npos);
+  ASSERT_EQ(of("Stereo").size(), 1u);
+  EXPECT_NE(of("Stereo")[0].xml().find("stereo three"), std::string::npos);
+  EXPECT_EQ(of("StrictCamera")[0].xml(), of("Camera")[0].xml());
+  ASSERT_EQ(of("UpdatedCamera").size(), 1u);
+  EXPECT_NE(of("UpdatedCamera")[0].xml().find("camera one"), std::string::npos);
+  EXPECT_EQ(of("FromProduct").size(), 3u);
+  ASSERT_EQ(of("FromPrice").size(), 3u);
+  EXPECT_EQ(of("FromPrice")[0].xml(), "<price>2</price>");
+  EXPECT_NE(of("HitStatus")[0].xml().find("status="), std::string::npos);
+  EXPECT_EQ(of("HitA")[0].xml().find("status="), std::string::npos);
+}
+
+TEST_F(SystemTest, SameNamedQueriesStillNotifyOncePerDocument) {
+  // Two template queries with one root tag are both named after it.
+  ASSERT_TRUE(monitor_
+                  .Subscribe(R"(
+subscription Twice
+monitoring
+select <Hit url=URL/>
+where URL extends "http://shop.example/" and self contains "stereo"
+monitoring
+select <Hit status=STATUS/>
+where URL extends "http://shop.example/" and self contains "camera"
+report when immediate
+)",
+                             "u@x")
+                  .ok());
+  RecordingResolver recorder(&monitor_.manager());
+  monitor_.pipeline().set_resolver(&recorder);
+
+  monitor_.ProcessFetch("http://shop.example/c.xml", "<c>stereo camera</c>");
+  EXPECT_EQ(recorder.PayloadsOf("Twice").size(), 1u);
+  size_t triggers = 0;
+  for (const DeliveryAction& action : recorder.actions) {
+    if (action.kind == DeliveryAction::Kind::kTriggerEvent) {
+      EXPECT_EQ(action.event_key, "Twice.Hit");
+      ++triggers;
+    }
+  }
+  EXPECT_EQ(triggers, 1u);
+  EXPECT_EQ(monitor_.stats().notifications, 1u);
+}
+
 }  // namespace
 }  // namespace xymon::system

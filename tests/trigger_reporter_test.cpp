@@ -3,12 +3,15 @@
 #include "src/reporter/outbox.h"
 #include "src/reporter/reporter.h"
 #include "src/trigger/trigger_engine.h"
+#include "src/xml/parser.h"
+#include "src/xml/serializer.h"
 
 namespace xymon {
 namespace {
 
 using reporter::Notification;
 using reporter::Outbox;
+using reporter::Payload;
 using reporter::Reporter;
 using sublang::Frequency;
 using sublang::ReportCondition;
@@ -299,6 +302,113 @@ TEST_F(ReporterTest, ReportXmlCarriesSubscriptionAndDate) {
   const std::string& xml = reporter_.LastReport("S")->xml;
   EXPECT_NE(xml.find("subscription=\"S\""), std::string::npos);
   EXPECT_NE(xml.find("1970-01-02"), std::string::npos);
+}
+
+// -------------------------------------------- Report body from renderings --
+
+/// The report body the Reporter assembled before payloads were rendered one
+/// by one: every buffered payload parsed into one `<Report>` tree (malformed
+/// ones as `<raw>`, empty ones dropped), serialized with indentation.
+std::string AssembledTreeBody(const std::string& name, Timestamp now,
+                              const std::vector<std::string>& payloads) {
+  auto root = xml::Node::Element("Report");
+  root->SetAttribute("subscription", name);
+  root->SetAttribute("date", FormatTimestamp(now));
+  for (const std::string& payload : payloads) {
+    auto parsed = xml::ParseFragment(payload);
+    if (parsed.ok()) {
+      root->AddChild(std::move(parsed).value());
+    } else if (!payload.empty()) {
+      root->AddElement("raw", payload);
+    }
+  }
+  return xml::Serialize(*root, {.indent = true});
+}
+
+TEST_F(ReporterTest, BodyFromRenderingsEqualsTheSerializedTree) {
+  const std::vector<std::string> payloads = {
+      "<a><b><c x=\"1\"/></b><d/><e>text</e></a>",  // nested elements
+      "<name>camera &amp; co</name>",                 // element with text
+      "<p>mixed <b>bold</b> tail</p>",                // mixed content
+      "<n v=\"a&quot;b&lt;c&amp;d\" w='x&gt;y'/>",     // escaped attributes
+      "",                                             // empty payload
+      "<broken & <stuff",                             // malformed payload
+  };
+  // The name and date land in attributes: the name needs escaping too.
+  const std::string name = "S&\"<x>";
+  ASSERT_TRUE(
+      reporter_.AddSubscription(name, CountSpec(payloads.size()), {"u@x"}, 0)
+          .ok());
+  for (const std::string& payload : payloads) {
+    reporter_.AddNotification(Notification{name, "q", payload, kDay});
+  }
+  ASSERT_EQ(outbox_.sent_count(), 1u);
+  EXPECT_EQ(outbox_.last()->body, AssembledTreeBody(name, kDay, payloads));
+  EXPECT_EQ(reporter_.LastReport(name)->xml, outbox_.last()->body);
+}
+
+TEST_F(ReporterTest, EmptyReportsAreSelfClosingLikeTheTree) {
+  // An empty buffer (a `count >= 0` condition holds on a Tick) and a buffer
+  // holding only an empty payload both report an empty <Report/> element.
+  ASSERT_TRUE(reporter_.AddSubscription("Empty", CountSpec(0), {"u@x"}, 0).ok());
+  reporter_.Tick(kDay);
+  ASSERT_EQ(outbox_.sent_count(), 1u);
+  EXPECT_EQ(outbox_.last()->body, AssembledTreeBody("Empty", kDay, {}));
+
+  ASSERT_TRUE(reporter_.AddSubscription("Blank", CountSpec(1), {"u@x"}, 0).ok());
+  reporter_.AddNotification(Notification{"Blank", "q", "", 2 * kDay});
+  EXPECT_EQ(outbox_.last()->body, AssembledTreeBody("Blank", 2 * kDay, {""}));
+}
+
+TEST_F(ReporterTest, SharedPayloadRendersOnceForEverySubscription) {
+  ASSERT_TRUE(reporter_.AddSubscription("A", CountSpec(2), {"a@x"}, 0).ok());
+  ASSERT_TRUE(reporter_.AddSubscription("B", CountSpec(2), {"b@x"}, 0).ok());
+  Payload shared("<Hit url=\"http://x/?a&amp;b\"><n>1</n></Hit>");
+  Payload own_a("<Own>a</Own>");
+  reporter_.AddNotification(Notification{"A", "q", shared, 5});
+  reporter_.AddNotification(Notification{"B", "q", shared, 5});
+  reporter_.AddNotification(Notification{"A", "q", own_a, 6});
+  reporter_.AddNotification(Notification{"B", "q", shared, 6});
+
+  // The rendering is cached in the shared object, not in one handle.
+  Payload copy = shared;
+  EXPECT_TRUE(copy.SharesWith(shared));
+  EXPECT_EQ(&copy.ReportRendering(), &shared.ReportRendering());
+  ASSERT_EQ(outbox_.sent_count(), 2u);
+  EXPECT_EQ(reporter_.LastReport("A")->xml,
+            AssembledTreeBody("A", 6, {shared.xml(), own_a.xml()}));
+  EXPECT_EQ(reporter_.LastReport("B")->xml,
+            AssembledTreeBody("B", 6, {shared.xml(), shared.xml()}));
+}
+
+TEST(ReporterQueryTest, ReportQueryStillSeesSharedPayloads) {
+  // A payload shared by a plain subscription and a report-query one: the
+  // plain body comes from renderings, the query runs over the tree.
+  Outbox outbox;
+  query::QueryEngine engine(nullptr);
+  Reporter reporter(&outbox, &engine);
+  ReportSpec spec;
+  ReportCondition::Atom atom;
+  atom.kind = ReportCondition::Atom::Kind::kCount;
+  atom.cmp = alerters::Comparator::kGe;
+  atom.count = 2;
+  spec.when.atoms.push_back(atom);
+  ASSERT_TRUE(reporter.AddSubscription("Plain", spec, {"u@x"}, 0).ok());
+  spec.query_text = "select X from self//UpdatedPage X";
+  ASSERT_TRUE(reporter.AddSubscription("Query", spec, {"u@x"}, 0).ok());
+
+  Payload page("<UpdatedPage url=\"http://a\"/>");
+  Payload member("<Member><name>x</name></Member>");
+  for (const char* sub : {"Plain", "Query"}) {
+    reporter.AddNotification(Notification{sub, "q", page, 1});
+    reporter.AddNotification(Notification{sub, "q", member, 1});
+  }
+  ASSERT_EQ(reporter.reports_generated(), 2u);
+  EXPECT_EQ(reporter.LastReport("Plain")->xml,
+            AssembledTreeBody("Plain", 1, {page.xml(), member.xml()}));
+  const std::string& body = reporter.LastReport("Query")->xml;
+  EXPECT_NE(body.find("http://a"), std::string::npos);
+  EXPECT_EQ(body.find("Member"), std::string::npos) << body;
 }
 
 TEST(ReporterQueryTest, ReportQueryFiltersTheBuffer) {
