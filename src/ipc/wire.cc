@@ -42,10 +42,6 @@ uint32_t GetU32(const char* p) {
          static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
 }
 
-Status CorruptMsg(const char* what) {
-  return Status::Corruption(std::string("wire: malformed ") + what);
-}
-
 }  // namespace
 
 const char* MsgTypeName(MsgType type) {
@@ -148,419 +144,6 @@ Status DecodeStatus(uint8_t code, std::string message) {
   }
   return Status::Corruption("wire: unknown status code " +
                             std::to_string(code));
-}
-
-// -- Message encode/decode ---------------------------------------------------
-
-std::string HelloMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kHello));
-  w.U32(magic);
-  w.U32(version);
-  w.U32(shard_index);
-  w.U32(num_shards);
-  w.U8(use_trie_prefixes);
-  w.U8(containment);
-  w.U32(max_parse_failures);
-  w.U32(static_cast<uint32_t>(faults.size()));
-  for (const WireFault& f : faults) {
-    w.U8(f.stage);
-    w.U8(f.kind);
-    w.U32(f.nth);
-    w.U32(f.stall_ms);
-    w.Str(f.url);
-  }
-  return w.Take();
-}
-
-Status HelloMsg::Decode(std::string_view body, HelloMsg* out) {
-  WireReader r(body);
-  uint32_t n = 0;
-  if (!r.U32(&out->magic) || !r.U32(&out->version) ||
-      !r.U32(&out->shard_index) || !r.U32(&out->num_shards) ||
-      !r.U8(&out->use_trie_prefixes) || !r.U8(&out->containment) ||
-      !r.U32(&out->max_parse_failures) || !r.U32(&n)) {
-    return CorruptMsg("Hello");
-  }
-  out->faults.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    WireFault f;
-    if (!r.U8(&f.stage) || !r.U8(&f.kind) || !r.U32(&f.nth) ||
-        !r.U32(&f.stall_ms) || !r.Str(&f.url)) {
-      return CorruptMsg("Hello fault");
-    }
-    out->faults.push_back(std::move(f));
-  }
-  if (!r.AtEnd()) return CorruptMsg("Hello (trailing bytes)");
-  return Status::OK();
-}
-
-std::string HelloAckMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kHelloAck));
-  w.U32(version);
-  w.U64(pid);
-  return w.Take();
-}
-
-Status HelloAckMsg::Decode(std::string_view body, HelloAckMsg* out) {
-  WireReader r(body);
-  if (!r.U32(&out->version) || !r.U64(&out->pid) || !r.AtEnd()) {
-    return CorruptMsg("HelloAck");
-  }
-  return Status::OK();
-}
-
-std::string OpenPartitionMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kOpenPartition));
-  w.U64(seq);
-  w.Str(path);
-  w.U32(fsync_every_n);
-  w.U64(auto_checkpoint_bytes);
-  return w.Take();
-}
-
-Status OpenPartitionMsg::Decode(std::string_view body, OpenPartitionMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->seq) || !r.Str(&out->path) || !r.U32(&out->fsync_every_n) ||
-      !r.U64(&out->auto_checkpoint_bytes) || !r.AtEnd()) {
-    return CorruptMsg("OpenPartition");
-  }
-  return Status::OK();
-}
-
-std::string SubscribeMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kSubscribe));
-  w.U64(seq);
-  w.I64(now);
-  w.U8(privileged);
-  w.Str(text);
-  w.Str(email);
-  return w.Take();
-}
-
-Status SubscribeMsg::Decode(std::string_view body, SubscribeMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->seq) || !r.I64(&out->now) || !r.U8(&out->privileged) ||
-      !r.Str(&out->text) || !r.Str(&out->email) || !r.AtEnd()) {
-    return CorruptMsg("Subscribe");
-  }
-  return Status::OK();
-}
-
-std::string UnsubscribeMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kUnsubscribe));
-  w.U64(seq);
-  w.I64(now);
-  w.Str(name);
-  return w.Take();
-}
-
-Status UnsubscribeMsg::Decode(std::string_view body, UnsubscribeMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->seq) || !r.I64(&out->now) || !r.Str(&out->name) ||
-      !r.AtEnd()) {
-    return CorruptMsg("Unsubscribe");
-  }
-  return Status::OK();
-}
-
-std::string DomainRuleMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kDomainRule));
-  w.U64(seq);
-  w.Str(domain);
-  w.Str(doctype_name);
-  w.Str(root_tag);
-  w.Str(url_substring);
-  return w.Take();
-}
-
-Status DomainRuleMsg::Decode(std::string_view body, DomainRuleMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->seq) || !r.Str(&out->domain) || !r.Str(&out->doctype_name) ||
-      !r.Str(&out->root_tag) || !r.Str(&out->url_substring) || !r.AtEnd()) {
-    return CorruptMsg("DomainRule");
-  }
-  return Status::OK();
-}
-
-std::string CmdAckMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kCmdAck));
-  w.U64(seq);
-  w.U8(status_code);
-  w.Str(status_message);
-  return w.Take();
-}
-
-Status CmdAckMsg::Decode(std::string_view body, CmdAckMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->seq) || !r.U8(&out->status_code) ||
-      !r.Str(&out->status_message) || !r.AtEnd()) {
-    return CorruptMsg("CmdAck");
-  }
-  return Status::OK();
-}
-
-std::string SlotMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kSlot));
-  w.U64(batch);
-  w.U32(slot);
-  w.U8(deletion);
-  w.U64(docid_hint);
-  w.I64(now);
-  w.Str(url);
-  w.Str(body);
-  return w.Take();
-}
-
-Status SlotMsg::Decode(std::string_view body, SlotMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->batch) || !r.U32(&out->slot) || !r.U8(&out->deletion) ||
-      !r.U64(&out->docid_hint) || !r.I64(&out->now) || !r.Str(&out->url) ||
-      !r.Str(&out->body) || !r.AtEnd()) {
-    return CorruptMsg("Slot");
-  }
-  return Status::OK();
-}
-
-std::string SlotResultMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kSlotResult));
-  w.U64(batch);
-  w.U32(slot);
-  w.U8(processed);
-  w.U8(degraded);
-  w.U8(alert);
-  w.U8(failed);
-  w.Str(failed_stage);
-  w.U8(status_code);
-  w.Str(status_message);
-  w.U32(static_cast<uint32_t>(actions.size()));
-  for (const WireAction& a : actions) {
-    w.U8(a.kind);
-    w.Str(a.subscription);
-    w.Str(a.query_name);
-    w.Str(a.payload_xml);
-    w.Str(a.event_key);
-  }
-  for (const WireStageDelta* d : {&ingest, &detect, &match, &notify}) {
-    w.U64(d->documents);
-    w.U64(d->micros);
-  }
-  w.U64(document_count);
-  return w.Take();
-}
-
-Status SlotResultMsg::Decode(std::string_view body, SlotResultMsg* out) {
-  WireReader r(body);
-  uint32_t n = 0;
-  if (!r.U64(&out->batch) || !r.U32(&out->slot) || !r.U8(&out->processed) ||
-      !r.U8(&out->degraded) || !r.U8(&out->alert) || !r.U8(&out->failed) ||
-      !r.Str(&out->failed_stage) || !r.U8(&out->status_code) ||
-      !r.Str(&out->status_message) || !r.U32(&n)) {
-    return CorruptMsg("SlotResult");
-  }
-  out->actions.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    WireAction a;
-    if (!r.U8(&a.kind) || !r.Str(&a.subscription) || !r.Str(&a.query_name) ||
-        !r.Str(&a.payload_xml) || !r.Str(&a.event_key)) {
-      return CorruptMsg("SlotResult action");
-    }
-    out->actions.push_back(std::move(a));
-  }
-  for (WireStageDelta* d : {&out->ingest, &out->detect, &out->match,
-                            &out->notify}) {
-    if (!r.U64(&d->documents) || !r.U64(&d->micros)) {
-      return CorruptMsg("SlotResult counters");
-    }
-  }
-  if (!r.U64(&out->document_count) || !r.AtEnd()) {
-    return CorruptMsg("SlotResult");
-  }
-  return Status::OK();
-}
-
-std::string CheckpointMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kCheckpoint));
-  w.U64(seq);
-  return w.Take();
-}
-
-Status CheckpointMsg::Decode(std::string_view body, CheckpointMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->seq) || !r.AtEnd()) return CorruptMsg("Checkpoint");
-  return Status::OK();
-}
-
-std::string CheckpointDoneMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kCheckpointDone));
-  w.U64(seq);
-  w.U8(status_code);
-  w.Str(status_message);
-  w.U64(document_count);
-  return w.Take();
-}
-
-Status CheckpointDoneMsg::Decode(std::string_view body, CheckpointDoneMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->seq) || !r.U8(&out->status_code) ||
-      !r.Str(&out->status_message) || !r.U64(&out->document_count) ||
-      !r.AtEnd()) {
-    return CorruptMsg("CheckpointDone");
-  }
-  return Status::OK();
-}
-
-std::string PingMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kPing));
-  w.U64(token);
-  return w.Take();
-}
-
-Status PingMsg::Decode(std::string_view body, PingMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->token) || !r.AtEnd()) return CorruptMsg("Ping");
-  return Status::OK();
-}
-
-std::string PongMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kPong));
-  w.U64(token);
-  w.U64(document_count);
-  return w.Take();
-}
-
-Status PongMsg::Decode(std::string_view body, PongMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->token) || !r.U64(&out->document_count) || !r.AtEnd()) {
-    return CorruptMsg("Pong");
-  }
-  return Status::OK();
-}
-
-std::string QueryDomainMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kQueryDomain));
-  w.U64(seq);
-  w.Str(domain);
-  return w.Take();
-}
-
-Status QueryDomainMsg::Decode(std::string_view body, QueryDomainMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->seq) || !r.Str(&out->domain) || !r.AtEnd()) {
-    return CorruptMsg("QueryDomain");
-  }
-  return Status::OK();
-}
-
-namespace {
-
-void EncodeMeta(WireWriter* w, const WireDocMeta& m) {
-  w->U64(m.docid);
-  w->Str(m.url);
-  w->Str(m.filename);
-  w->U8(m.is_xml);
-  w->Str(m.doctype_name);
-  w->Str(m.dtd_url);
-  w->U32(m.dtdid);
-  w->Str(m.domain);
-  w->I64(m.last_accessed);
-  w->I64(m.last_updated);
-  w->U64(m.signature);
-  w->U8(m.status);
-}
-
-bool DecodeMeta(WireReader* r, WireDocMeta* m) {
-  return r->U64(&m->docid) && r->Str(&m->url) && r->Str(&m->filename) &&
-         r->U8(&m->is_xml) && r->Str(&m->doctype_name) && r->Str(&m->dtd_url) &&
-         r->U32(&m->dtdid) && r->Str(&m->domain) && r->I64(&m->last_accessed) &&
-         r->I64(&m->last_updated) && r->U64(&m->signature) && r->U8(&m->status);
-}
-
-}  // namespace
-
-std::string DomainDocsMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kDomainDocs));
-  w.U64(seq);
-  w.U32(static_cast<uint32_t>(docs.size()));
-  for (const Doc& d : docs) {
-    EncodeMeta(&w, d.meta);
-    w.Str(d.doc_xml);
-    w.Str(d.doctype_name);
-    w.Str(d.dtd_url);
-  }
-  return w.Take();
-}
-
-Status DomainDocsMsg::Decode(std::string_view body, DomainDocsMsg* out) {
-  WireReader r(body);
-  uint32_t n = 0;
-  if (!r.U64(&out->seq) || !r.U32(&n)) return CorruptMsg("DomainDocs");
-  out->docs.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    Doc d;
-    if (!DecodeMeta(&r, &d.meta) || !r.Str(&d.doc_xml) ||
-        !r.Str(&d.doctype_name) || !r.Str(&d.dtd_url)) {
-      return CorruptMsg("DomainDocs doc");
-    }
-    out->docs.push_back(std::move(d));
-  }
-  if (!r.AtEnd()) return CorruptMsg("DomainDocs (trailing bytes)");
-  return Status::OK();
-}
-
-std::string DtdIdReqMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kDtdIdReq));
-  w.Str(dtd_url);
-  return w.Take();
-}
-
-Status DtdIdReqMsg::Decode(std::string_view body, DtdIdReqMsg* out) {
-  WireReader r(body);
-  if (!r.Str(&out->dtd_url) || !r.AtEnd()) return CorruptMsg("DtdIdReq");
-  return Status::OK();
-}
-
-std::string DtdIdRespMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kDtdIdResp));
-  w.Str(dtd_url);
-  w.U32(id);
-  return w.Take();
-}
-
-Status DtdIdRespMsg::Decode(std::string_view body, DtdIdRespMsg* out) {
-  WireReader r(body);
-  if (!r.Str(&out->dtd_url) || !r.U32(&out->id) || !r.AtEnd()) {
-    return CorruptMsg("DtdIdResp");
-  }
-  return Status::OK();
-}
-
-std::string ShutdownMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kShutdown));
-  return w.Take();
-}
-
-Status ShutdownMsg::Decode(std::string_view body, ShutdownMsg* out) {
-  (void)out;
-  if (!body.empty()) return CorruptMsg("Shutdown");
-  return Status::OK();
 }
 
 // -- Frame I/O ---------------------------------------------------------------

@@ -1,9 +1,13 @@
 #ifndef XYMON_IPC_WIRE_H_
 #define XYMON_IPC_WIRE_H_
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -21,11 +25,11 @@ namespace xymon::ipc {
 //
 //   [u32 payload_len][u32 crc32(payload)][payload bytes]
 //
-// The first payload byte is the MsgType; the rest is message-specific,
-// encoded with WireWriter and decoded with the bounds-checked WireReader
-// (a truncated or bit-flipped payload yields Status::Corruption, never a
-// crash or an oversized allocation — every length field is checked against
-// the bytes actually present).
+// The first payload byte is the MsgType; the rest are the message's fields
+// in the order of its one field list, written by WireWriter and read back
+// by the bounds-checked WireReader (a truncated or bit-flipped payload
+// yields Status::Corruption, never a crash or an oversized allocation —
+// every string length is checked against the bytes actually present).
 //
 // The first frame in each direction is the versioned handshake
 // (kHello / kHelloAck); a version or magic mismatch kills the worker before
@@ -66,8 +70,21 @@ const char* MsgTypeName(MsgType type);
 
 // -- Bounded encode/decode ---------------------------------------------------
 
+/// A struct that lists its fields in wire order,
+///   static auto Fields(auto& m) { return std::tie(m.a, m.b, ...); }
+/// Every message, and every struct nested in one, has such a list; it is the
+/// one place where the byte layout of a frame is written down.
+template <typename T>
+concept HasWireFields = requires(T& m) { T::Fields(m); };
+
+template <typename T>
+inline constexpr bool kIsWireVector = false;
+template <typename T>
+inline constexpr bool kIsWireVector<std::vector<T>> = true;
+
 /// Append-only payload builder. Integers are little-endian fixed width;
-/// strings are u32-length-prefixed.
+/// strings and vectors are prefixed with a u32 count; a struct's fields
+/// follow inline in the order of its field list.
 class WireWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -75,6 +92,9 @@ class WireWriter {
   void U64(uint64_t v);
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   void Str(std::string_view s);
+  /// Appends a field of any wire type by the rules above.
+  template <typename T>
+  void Put(const T& v);
   std::string Take() { return std::move(buf_); }
 
  private:
@@ -93,6 +113,11 @@ class WireReader {
   bool U64(uint64_t* out);
   bool I64(int64_t* out);
   bool Str(std::string* out);
+  /// Reads a field of any wire type, the inverse of WireWriter::Put. A
+  /// vector is read element by element, with nothing reserved for its
+  /// count, and stops at the first short read.
+  template <typename T>
+  bool Get(T* out);
   bool ok() const { return ok_; }
   bool AtEnd() const { return ok_ && pos_ == data_.size(); }
 
@@ -102,13 +127,64 @@ class WireReader {
   bool ok_ = true;
 };
 
+template <typename T>
+void WireWriter::Put(const T& v) {
+  if constexpr (HasWireFields<T>) {
+    std::apply([this](const auto&... f) { (Put(f), ...); }, T::Fields(v));
+  } else if constexpr (kIsWireVector<T>) {
+    U32(static_cast<uint32_t>(v.size()));
+    for (const auto& e : v) Put(e);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    Str(v);
+  } else if constexpr (std::is_same_v<T, uint8_t>) {
+    U8(v);
+  } else if constexpr (std::is_same_v<T, uint32_t>) {
+    U32(v);
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    U64(v);
+  } else {
+    static_assert(std::is_same_v<T, int64_t>, "no wire encoding for T");
+    I64(v);
+  }
+}
+
+template <typename T>
+bool WireReader::Get(T* out) {
+  if constexpr (HasWireFields<T>) {
+    return std::apply([this](auto&... f) { return (Get(&f) && ...); },
+                      T::Fields(*out));
+  } else if constexpr (kIsWireVector<T>) {
+    uint32_t n = 0;
+    if (!U32(&n)) return false;
+    out->clear();
+    for (uint32_t i = 0; i < n; ++i) {
+      if (!Get(&out->emplace_back())) return false;
+    }
+    return true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Str(out);
+  } else if constexpr (std::is_same_v<T, uint8_t>) {
+    return U8(out);
+  } else if constexpr (std::is_same_v<T, uint32_t>) {
+    return U32(out);
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    return U64(out);
+  } else {
+    static_assert(std::is_same_v<T, int64_t>, "no wire encoding for T");
+    return I64(out);
+  }
+}
+
 /// Rebuilds a Status from its wire (code, message) pair.
 Status DecodeStatus(uint8_t code, std::string message);
 
 // -- Messages ----------------------------------------------------------------
-// Every struct encodes to a full frame payload (type byte first) and decodes
-// from the payload *after* the type byte. Decode returns Corruption on any
-// truncation, trailing garbage or out-of-range field.
+// Each message names its type byte (`kType`) and lists its fields once;
+// Encode and Decode below are generic over both. Decode returns Corruption
+// on a type byte other than the message's, a field cut short, a string
+// length over the bytes that remain, or trailing bytes (the frame reader
+// has already capped the payload at kMaxFrameLen). It does not range-check
+// values: an enum byte decodes as sent.
 
 /// One injected stage fault, shipped to the worker so its FaultyStage
 /// decorators replay the supervisor's StageFaultPlan.
@@ -118,9 +194,14 @@ struct WireFault {
   uint32_t nth = 1;
   uint32_t stall_ms = 0;
   std::string url;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.stage, m.kind, m.nth, m.stall_ms, m.url);
+  }
 };
 
 struct HelloMsg {
+  static constexpr MsgType kType = MsgType::kHello;
   uint32_t magic = kWireMagic;
   uint32_t version = kWireVersion;
   uint32_t shard_index = 0;
@@ -130,69 +211,82 @@ struct HelloMsg {
   uint32_t max_parse_failures = 3;
   std::vector<WireFault> faults;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, HelloMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.magic, m.version, m.shard_index, m.num_shards,
+                    m.use_trie_prefixes, m.containment, m.max_parse_failures,
+                    m.faults);
+  }
 };
 
 struct HelloAckMsg {
+  static constexpr MsgType kType = MsgType::kHelloAck;
   uint32_t version = kWireVersion;
   uint64_t pid = 0;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, HelloAckMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.version, m.pid); }
 };
 
 struct OpenPartitionMsg {
+  static constexpr MsgType kType = MsgType::kOpenPartition;
   uint64_t seq = 0;
   std::string path;
   uint32_t fsync_every_n = 0;
   uint64_t auto_checkpoint_bytes = 0;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, OpenPartitionMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.seq, m.path, m.fsync_every_n, m.auto_checkpoint_bytes);
+  }
 };
 
 struct SubscribeMsg {
+  static constexpr MsgType kType = MsgType::kSubscribe;
   uint64_t seq = 0;
   int64_t now = 0;
   uint8_t privileged = 0;
   std::string text;
   std::string email;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, SubscribeMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.seq, m.now, m.privileged, m.text, m.email);
+  }
 };
 
 struct UnsubscribeMsg {
+  static constexpr MsgType kType = MsgType::kUnsubscribe;
   uint64_t seq = 0;
   int64_t now = 0;
   std::string name;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, UnsubscribeMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.seq, m.now, m.name); }
 };
 
 struct DomainRuleMsg {
+  static constexpr MsgType kType = MsgType::kDomainRule;
   uint64_t seq = 0;
   std::string domain;
   std::string doctype_name;
   std::string root_tag;
   std::string url_substring;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, DomainRuleMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.seq, m.domain, m.doctype_name, m.root_tag,
+                    m.url_substring);
+  }
 };
 
 struct CmdAckMsg {
+  static constexpr MsgType kType = MsgType::kCmdAck;
   uint64_t seq = 0;
   uint8_t status_code = 0;
   std::string status_message;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, CmdAckMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.seq, m.status_code, m.status_message);
+  }
 };
 
 struct SlotMsg {
+  static constexpr MsgType kType = MsgType::kSlot;
   uint64_t batch = 0;
   uint32_t slot = 0;
   uint8_t deletion = 0;
@@ -201,8 +295,10 @@ struct SlotMsg {
   std::string url;
   std::string body;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, SlotMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.batch, m.slot, m.deletion, m.docid_hint, m.now, m.url,
+                    m.body);
+  }
 };
 
 /// system::DeliveryAction over the wire.
@@ -212,14 +308,22 @@ struct WireAction {
   std::string query_name;
   std::string payload_xml;
   std::string event_key;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.kind, m.subscription, m.query_name, m.payload_xml,
+                    m.event_key);
+  }
 };
 
 struct WireStageDelta {
   uint64_t documents = 0;
   uint64_t micros = 0;
+
+  static auto Fields(auto& m) { return std::tie(m.documents, m.micros); }
 };
 
 struct SlotResultMsg {
+  static constexpr MsgType kType = MsgType::kSlotResult;
   uint64_t batch = 0;
   uint32_t slot = 0;
   uint8_t processed = 0;
@@ -235,48 +339,54 @@ struct SlotResultMsg {
   /// total_document_count() current without a round trip).
   uint64_t document_count = 0;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, SlotResultMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.batch, m.slot, m.processed, m.degraded, m.alert,
+                    m.failed, m.failed_stage, m.status_code, m.status_message,
+                    m.actions, m.ingest, m.detect, m.match, m.notify,
+                    m.document_count);
+  }
 };
 
 struct CheckpointMsg {
+  static constexpr MsgType kType = MsgType::kCheckpoint;
   uint64_t seq = 0;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, CheckpointMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.seq); }
 };
 
 struct CheckpointDoneMsg {
+  static constexpr MsgType kType = MsgType::kCheckpointDone;
   uint64_t seq = 0;
   uint8_t status_code = 0;
   std::string status_message;
   uint64_t document_count = 0;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, CheckpointDoneMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.seq, m.status_code, m.status_message, m.document_count);
+  }
 };
 
 struct PingMsg {
+  static constexpr MsgType kType = MsgType::kPing;
   uint64_t token = 0;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, PingMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.token); }
 };
 
 struct PongMsg {
+  static constexpr MsgType kType = MsgType::kPong;
   uint64_t token = 0;
   uint64_t document_count = 0;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, PongMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.token, m.document_count); }
 };
 
 struct QueryDomainMsg {
+  static constexpr MsgType kType = MsgType::kQueryDomain;
   uint64_t seq = 0;
   std::string domain;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, QueryDomainMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.seq, m.domain); }
 };
 
 /// warehouse::DocMeta over the wire.
@@ -293,9 +403,16 @@ struct WireDocMeta {
   int64_t last_updated = 0;
   uint64_t signature = 0;
   uint8_t status = 0;  // warehouse::DocStatus
+
+  static auto Fields(auto& m) {
+    return std::tie(m.docid, m.url, m.filename, m.is_xml, m.doctype_name,
+                    m.dtd_url, m.dtdid, m.domain, m.last_accessed,
+                    m.last_updated, m.signature, m.status);
+  }
 };
 
 struct DomainDocsMsg {
+  static constexpr MsgType kType = MsgType::kDomainDocs;
   struct Doc {
     WireDocMeta meta;
     /// Serialized current version (xml::Serialize of the whole Document —
@@ -303,33 +420,65 @@ struct DomainDocsMsg {
     std::string doc_xml;
     std::string doctype_name;
     std::string dtd_url;
+
+    static auto Fields(auto& m) {
+      return std::tie(m.meta, m.doc_xml, m.doctype_name, m.dtd_url);
+    }
   };
   uint64_t seq = 0;
   std::vector<Doc> docs;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, DomainDocsMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.seq, m.docs); }
 };
 
 struct DtdIdReqMsg {
+  static constexpr MsgType kType = MsgType::kDtdIdReq;
   std::string dtd_url;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, DtdIdReqMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.dtd_url); }
 };
 
 struct DtdIdRespMsg {
+  static constexpr MsgType kType = MsgType::kDtdIdResp;
   std::string dtd_url;
   uint32_t id = 0;
 
-  std::string Encode() const;
-  static Status Decode(std::string_view body, DtdIdRespMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.dtd_url, m.id); }
 };
 
 struct ShutdownMsg {
-  std::string Encode() const;
-  static Status Decode(std::string_view body, ShutdownMsg* out);
+  static constexpr MsgType kType = MsgType::kShutdown;
+
+  static auto Fields(auto&) { return std::tie(); }
 };
+
+/// A message: a field list plus the type byte that leads its frames.
+template <typename Msg>
+concept WireMessage = HasWireFields<Msg> && requires {
+  { Msg::kType } -> std::convertible_to<MsgType>;
+};
+
+/// The full frame payload of `msg`: its type byte, then its fields.
+template <WireMessage Msg>
+std::string Encode(const Msg& msg) {
+  WireWriter w;
+  w.U8(static_cast<uint8_t>(Msg::kType));
+  w.Put(msg);
+  return w.Take();
+}
+
+/// Decodes a full frame payload, type byte included, into `out`.
+template <WireMessage Msg>
+Status Decode(std::string_view payload, Msg* out) {
+  WireReader r(payload);
+  uint8_t type = 0;
+  if (!r.U8(&type) || type != static_cast<uint8_t>(Msg::kType) ||
+      !r.Get(out) || !r.AtEnd()) {
+    return Status::Corruption(std::string("wire: malformed ") +
+                              MsgTypeName(Msg::kType));
+  }
+  return Status::OK();
+}
 
 // -- Frame I/O ---------------------------------------------------------------
 

@@ -61,9 +61,7 @@ class RemoteDtdRegistry : public warehouse::DtdRegistry {
       auto it = ids_.find(dtd_url);
       if (it != ids_.end()) return it->second;
     }
-    DtdIdReqMsg req;
-    req.dtd_url = dtd_url;
-    Status s = WriteFrame(fd_, req.Encode());
+    Status s = WriteFrame(fd_, Encode(DtdIdReqMsg{dtd_url}));
     if (!s.ok()) DieOn(s);
     for (;;) {
       std::string payload;
@@ -76,10 +74,7 @@ class RemoteDtdRegistry : public warehouse::DtdRegistry {
         continue;
       }
       DtdIdRespMsg resp;
-      if (!DtdIdRespMsg::Decode(std::string_view(payload).substr(1), &resp)
-               .ok()) {
-        _exit(kExitProtocol);
-      }
+      if (!Decode(payload, &resp).ok()) _exit(kExitProtocol);
       std::lock_guard<std::mutex> lock(mutex_);
       ids_[resp.dtd_url] = resp.id;
       if (resp.dtd_url == dtd_url) return resp.id;
@@ -118,19 +113,10 @@ class WorkerRuntime {
     }
     injector_.set_plan(std::move(plan));
 
-    alerters::UrlAlerter::Options url_options{hello_.use_trie_prefixes != 0};
-    shard_ = std::make_unique<system::PipelineShard>(&classifier_, url_options);
-    shard_->warehouse.set_max_parse_failures(hello_.max_parse_failures);
     dtd_registry_ = std::make_unique<RemoteDtdRegistry>(fd_, &pending_);
-    shard_->warehouse.set_dtd_registry(dtd_registry_.get());
-    if (!hello_.faults.empty()) {
-      shard_->ingest_stage = std::make_unique<system::FaultyIngestStage>(
-          std::move(shard_->ingest_stage), &injector_);
-      shard_->detect_stage = std::make_unique<system::FaultyDetectStage>(
-          std::move(shard_->detect_stage), &injector_);
-      shard_->match_stage = std::make_unique<system::FaultyMatchStage>(
-          std::move(shard_->match_stage), &injector_);
-    }
+    shard_ = std::make_unique<system::PipelineShard>(
+        &classifier_, hello_.use_trie_prefixes != 0, hello_.max_parse_failures,
+        dtd_registry_.get(), hello_.faults.empty() ? nullptr : &injector_);
 
     query_engine_ = query::QueryEngine(&shard_->warehouse);
     manager::SubscriptionManager::Components components{
@@ -156,31 +142,30 @@ class WorkerRuntime {
       }
       MsgType type;
       if (!PeekType(payload, &type)) return kExitProtocol;
-      std::string_view body = std::string_view(payload).substr(1);
       switch (type) {
         case MsgType::kOpenPartition:
-          HandleOpenPartition(body);
+          HandleOpenPartition(payload);
           break;
         case MsgType::kSubscribe:
-          HandleSubscribe(body);
+          HandleSubscribe(payload);
           break;
         case MsgType::kUnsubscribe:
-          HandleUnsubscribe(body);
+          HandleUnsubscribe(payload);
           break;
         case MsgType::kDomainRule:
-          HandleDomainRule(body);
+          HandleDomainRule(payload);
           break;
         case MsgType::kSlot:
-          HandleSlot(body);
+          HandleSlot(payload);
           break;
         case MsgType::kCheckpoint:
-          HandleCheckpoint(body);
+          HandleCheckpoint(payload);
           break;
         case MsgType::kPing:
-          HandlePing(body);
+          HandlePing(payload);
           break;
         case MsgType::kQueryDomain:
-          HandleQueryDomain(body);
+          HandleQueryDomain(payload);
           break;
         case MsgType::kShutdown:
           return kExitClean;
@@ -192,27 +177,25 @@ class WorkerRuntime {
 
  private:
   template <typename Msg>
-  Msg DecodeOrDie(std::string_view body) {
+  Msg DecodeOrDie(std::string_view payload) {
     Msg msg;
-    if (!Msg::Decode(body, &msg).ok()) _exit(kExitProtocol);
+    if (!Decode(payload, &msg).ok()) _exit(kExitProtocol);
     return msg;
   }
 
-  void Send(const std::string& payload) {
-    Status s = WriteFrame(fd_, payload);
+  template <typename Msg>
+  void Send(const Msg& msg) {
+    Status s = WriteFrame(fd_, Encode(msg));
     if (!s.ok()) DieOn(s);
   }
 
   void Ack(uint64_t seq, const Status& status) {
-    CmdAckMsg ack;
-    ack.seq = seq;
-    ack.status_code = static_cast<uint8_t>(status.code());
-    ack.status_message = status.message();
-    Send(ack.Encode());
+    Send(CmdAckMsg{seq, static_cast<uint8_t>(status.code()),
+                   status.message()});
   }
 
-  void HandleOpenPartition(std::string_view body) {
-    auto msg = DecodeOrDie<OpenPartitionMsg>(body);
+  void HandleOpenPartition(std::string_view payload) {
+    auto msg = DecodeOrDie<OpenPartitionMsg>(payload);
     storage::LogStore::Options log_options;
     log_options.fsync_every_n = msg.fsync_every_n;
     auto store = storage::PersistentMap::Open(msg.path, log_options);
@@ -225,8 +208,8 @@ class WorkerRuntime {
     Ack(msg.seq, shard_->warehouse.AttachStore(&*store_));
   }
 
-  void HandleSubscribe(std::string_view body) {
-    auto msg = DecodeOrDie<SubscribeMsg>(body);
+  void HandleSubscribe(std::string_view payload) {
+    auto msg = DecodeOrDie<SubscribeMsg>(payload);
     clock_.Set(msg.now);
     // The supervisor already validated, priced and logged the subscription;
     // the replay is forced-privileged so this replica accepts exactly what
@@ -236,21 +219,21 @@ class WorkerRuntime {
     Ack(msg.seq, result.ok() ? Status::OK() : result.status());
   }
 
-  void HandleUnsubscribe(std::string_view body) {
-    auto msg = DecodeOrDie<UnsubscribeMsg>(body);
+  void HandleUnsubscribe(std::string_view payload) {
+    auto msg = DecodeOrDie<UnsubscribeMsg>(payload);
     clock_.Set(msg.now);
     Ack(msg.seq, manager_->Unsubscribe(msg.name));
   }
 
-  void HandleDomainRule(std::string_view body) {
-    auto msg = DecodeOrDie<DomainRuleMsg>(body);
+  void HandleDomainRule(std::string_view payload) {
+    auto msg = DecodeOrDie<DomainRuleMsg>(payload);
     classifier_.AddRule({msg.domain, msg.doctype_name, msg.root_tag,
                          msg.url_substring});
     Ack(msg.seq, Status::OK());
   }
 
-  void HandleSlot(std::string_view body) {
-    auto msg = DecodeOrDie<SlotMsg>(body);
+  void HandleSlot(std::string_view payload) {
+    auto msg = DecodeOrDie<SlotMsg>(payload);
     clock_.Set(msg.now);
     system::DocJob job;
     job.url = std::move(msg.url);
@@ -296,30 +279,24 @@ class WorkerRuntime {
     result.match = delta(before_match, shard_->match_counts);
     result.notify = delta(before_notify, shard_->notify_counts);
     result.document_count = shard_->warehouse.document_count();
-    Send(result.Encode());
+    Send(result);
   }
 
-  void HandleCheckpoint(std::string_view body) {
-    auto msg = DecodeOrDie<CheckpointMsg>(body);
+  void HandleCheckpoint(std::string_view payload) {
+    auto msg = DecodeOrDie<CheckpointMsg>(payload);
     Status status = shard_->warehouse.CheckpointStorage();
-    CheckpointDoneMsg done;
-    done.seq = msg.seq;
-    done.status_code = static_cast<uint8_t>(status.code());
-    done.status_message = status.message();
-    done.document_count = shard_->warehouse.document_count();
-    Send(done.Encode());
+    Send(CheckpointDoneMsg{msg.seq, static_cast<uint8_t>(status.code()),
+                           status.message(),
+                           shard_->warehouse.document_count()});
   }
 
-  void HandlePing(std::string_view body) {
-    auto msg = DecodeOrDie<PingMsg>(body);
-    PongMsg pong;
-    pong.token = msg.token;
-    pong.document_count = shard_->warehouse.document_count();
-    Send(pong.Encode());
+  void HandlePing(std::string_view payload) {
+    auto msg = DecodeOrDie<PingMsg>(payload);
+    Send(PongMsg{msg.token, shard_->warehouse.document_count()});
   }
 
-  void HandleQueryDomain(std::string_view body) {
-    auto msg = DecodeOrDie<QueryDomainMsg>(body);
+  void HandleQueryDomain(std::string_view payload) {
+    auto msg = DecodeOrDie<QueryDomainMsg>(payload);
     DomainDocsMsg result;
     result.seq = msg.seq;
     for (const auto& [meta, doc] :
@@ -347,7 +324,7 @@ class WorkerRuntime {
       }
       result.docs.push_back(std::move(out));
     }
-    Send(result.Encode());
+    Send(result);
   }
 
   int fd_;
@@ -378,21 +355,13 @@ int WorkerMain(int argc, char** argv) {
   std::string payload;
   Status s = ReadFrame(fd, &payload);
   if (!s.ok()) DieOn(s);
-  MsgType type;
-  if (!PeekType(payload, &type) || type != MsgType::kHello) {
-    return kExitProtocol;
-  }
   HelloMsg hello;
-  if (!HelloMsg::Decode(std::string_view(payload).substr(1), &hello).ok()) {
-    return kExitProtocol;
-  }
+  if (!Decode(payload, &hello).ok()) return kExitProtocol;
   if (hello.magic != kWireMagic || hello.version != kWireVersion) {
     return kExitProtocol;
   }
-  HelloAckMsg ack;
-  ack.version = kWireVersion;
-  ack.pid = static_cast<uint64_t>(getpid());
-  s = WriteFrame(fd, ack.Encode());
+  s = WriteFrame(fd, Encode(HelloAckMsg{kWireVersion,
+                                        static_cast<uint64_t>(getpid())}));
   if (!s.ok()) DieOn(s);
 
   WorkerRuntime runtime(fd, std::move(hello));

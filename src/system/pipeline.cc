@@ -102,13 +102,27 @@ const char* ShardHealthName(ShardHealth health) {
 }
 
 PipelineShard::PipelineShard(const warehouse::DomainClassifier* classifier,
-                             const alerters::UrlAlerter::Options& url_options)
+                             bool use_trie_prefixes,
+                             uint32_t max_parse_failures,
+                             warehouse::DtdRegistry* dtd_registry,
+                             StageFaultInjector* faults)
     : warehouse(classifier),
-      url_alerter(url_options),
+      url_alerter(alerters::UrlAlerter::Options{use_trie_prefixes}),
       alert_pipeline(&url_alerter, &xml_alerter, &html_alerter),
       ingest_stage(std::make_unique<WarehouseIngestStage>(&warehouse)),
       detect_stage(std::make_unique<AlerterDetectStage>(&alert_pipeline)),
-      match_stage(std::make_unique<MqpMatchStage>(&mqp)) {}
+      match_stage(std::make_unique<MqpMatchStage>(&mqp)) {
+  warehouse.set_max_parse_failures(max_parse_failures);
+  warehouse.set_dtd_registry(dtd_registry);
+  if (faults != nullptr) {
+    ingest_stage =
+        std::make_unique<FaultyIngestStage>(std::move(ingest_stage), faults);
+    detect_stage =
+        std::make_unique<FaultyDetectStage>(std::move(detect_stage), faults);
+    match_stage =
+        std::make_unique<FaultyMatchStage>(std::move(match_stage), faults);
+  }
+}
 
 ReplicaCommand ReplicaCommand::Subscribe(std::string_view text,
                                          std::string_view email,
@@ -369,20 +383,10 @@ class IngestPipeline::ThreadTransport : public ShardTransport {
 };
 
 std::unique_ptr<PipelineShard> IngestPipeline::MakeShard() {
-  alerters::UrlAlerter::Options url_options{options_.use_trie_prefixes};
-  auto shard = std::make_unique<PipelineShard>(options_.classifier,
-                                               url_options);
-  shard->warehouse.set_max_parse_failures(options_.max_parse_failures_per_url);
-  shard->warehouse.set_dtd_registry(&dtd_registry_);
-  if (options_.stage_faults != nullptr) {
-    shard->ingest_stage = std::make_unique<FaultyIngestStage>(
-        std::move(shard->ingest_stage), options_.stage_faults);
-    shard->detect_stage = std::make_unique<FaultyDetectStage>(
-        std::move(shard->detect_stage), options_.stage_faults);
-    shard->match_stage = std::make_unique<FaultyMatchStage>(
-        std::move(shard->match_stage), options_.stage_faults);
-  }
-  return shard;
+  return std::make_unique<PipelineShard>(
+      options_.classifier, options_.use_trie_prefixes,
+      options_.max_parse_failures_per_url, &dtd_registry_,
+      options_.stage_faults);
 }
 
 IngestPipeline::IngestPipeline(const Options& options) : options_(options) {

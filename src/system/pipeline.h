@@ -320,8 +320,14 @@ struct BatchState {
 /// replica of every detection structure (paper §4.2 — the Subscription
 /// Manager "warns each MQP" through SubscriptionManager::DetectionReplica).
 struct PipelineShard {
+  /// The one way both substrates build a shard (an in-process shard of the
+  /// pipeline, or the single shard of a worker process): the URL alerter's
+  /// index, the warehouse's parse-failure cap and DTD registry, and, when
+  /// `faults` is set, the FaultyStage decorators over the three stage seams.
   PipelineShard(const warehouse::DomainClassifier* classifier,
-                const alerters::UrlAlerter::Options& url_options);
+                bool use_trie_prefixes, uint32_t max_parse_failures,
+                warehouse::DtdRegistry* dtd_registry,
+                StageFaultInjector* faults);
 
   // Components (construction order matters: alert_pipeline points at the
   // alerters).

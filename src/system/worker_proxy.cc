@@ -73,7 +73,7 @@ const std::string& ReplayLog::Record(const ReplicaCommand& command) {
       msg.privileged = 1;
       msg.text = command.text;
       msg.email = command.email;
-      payload = msg.Encode();
+      payload = ipc::Encode(msg);
       break;
     }
     case ReplicaCommand::Kind::kUnsubscribe: {
@@ -81,7 +81,7 @@ const std::string& ReplayLog::Record(const ReplicaCommand& command) {
       msg.seq = command.seq;
       msg.now = command.now;
       msg.name = command.name;
-      payload = msg.Encode();
+      payload = ipc::Encode(msg);
       break;
     }
     case ReplicaCommand::Kind::kDomainRule: {
@@ -91,7 +91,7 @@ const std::string& ReplayLog::Record(const ReplicaCommand& command) {
       msg.doctype_name = command.rule->doctype_name;
       msg.root_tag = command.rule->root_tag;
       msg.url_substring = command.rule->url_substring;
-      payload = msg.Encode();
+      payload = ipc::Encode(msg);
       break;
     }
   }
@@ -203,19 +203,14 @@ Status ShardWorkerProxy::Spawn() {
 
   // Versioned handshake before any state: Hello out, HelloAck back, both
   // bounded — a worker that never answers is killed here, not waited on.
-  Status s = ipc::WriteFrame(sv[0], hello_.Encode(),
+  Status s = ipc::WriteFrame(sv[0], ipc::Encode(hello_),
                              options_.worker_command_timeout_ms);
   if (!s.ok()) return abort_spawn(std::move(s));
   std::string payload;
   s = ipc::ReadFrame(sv[0], &payload, options_.worker_command_timeout_ms);
   if (!s.ok()) return abort_spawn(std::move(s));
-  ipc::MsgType type;
-  if (!ipc::PeekType(payload, &type) || type != ipc::MsgType::kHelloAck) {
-    return abort_spawn(Status::Corruption("worker proxy: expected HelloAck"));
-  }
   ipc::HelloAckMsg ack;
-  s = ipc::HelloAckMsg::Decode(
-      std::string_view(payload).substr(1), &ack);
+  s = ipc::Decode(payload, &ack);
   if (!s.ok()) return abort_spawn(std::move(s));
   if (ack.version != ipc::kWireVersion) {
     return abort_spawn(Status::FailedPrecondition(
@@ -235,11 +230,9 @@ Status ShardWorkerProxy::Spawn() {
     stop_heartbeat_ = false;
     batch_.reset();
     outstanding_.clear();
-    acks_.clear();
-    waiting_acks_.clear();
+    waiting_.clear();
+    replies_.clear();
     checkpoints_.clear();
-    domain_results_.clear();
-    waiting_domains_.clear();
     last_rx_us_ = SteadyMicros();  // the HelloAck was a frame
   }
   reader_ = std::thread(&ShardWorkerProxy::ReaderLoop, this);
@@ -291,7 +284,7 @@ Status ShardWorkerProxy::SendOpenPartition() {
     std::lock_guard<std::mutex> lock(mutex_);
     msg.seq = query_seq_++;
   }
-  return Command(msg.seq, msg.Encode());
+  return Command(msg.seq, ipc::Encode(msg));
 }
 
 Status ShardWorkerProxy::Replicate(const ReplicaCommand& command) {
@@ -302,34 +295,35 @@ Status ShardWorkerProxy::Replicate(const ReplicaCommand& command) {
 }
 
 Status ShardWorkerProxy::Command(uint64_t seq, const std::string& payload) {
+  Reply reply;
+  XYMON_RETURN_IF_ERROR(Request(seq, payload, "worker command", &reply));
+  return reply.status;
+}
+
+Status ShardWorkerProxy::Request(uint64_t seq, const std::string& payload,
+                                 const char* what, Reply* reply) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (dead_ || !spawned_) return Status::Unavailable("worker down");
-    waiting_acks_.insert(seq);
+    waiting_.insert(seq);
   }
   Status s = WriteFrameLocked(payload, options_.worker_command_timeout_ms);
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!s.ok()) {
-    waiting_acks_.erase(seq);
-    acks_.erase(seq);
-    return s;
+  if (s.ok()) {
+    cv_.wait_for(lock,
+                 std::chrono::milliseconds(options_.worker_command_timeout_ms),
+                 [&] { return dead_ || replies_.count(seq) > 0; });
   }
-  bool arrived = cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.worker_command_timeout_ms),
-      [&] { return dead_ || acks_.count(seq) > 0; });
-  waiting_acks_.erase(seq);
-  auto it = acks_.find(seq);
-  if (it != acks_.end()) {
-    Status ack = it->second;
-    acks_.erase(it);
-    return ack;
+  waiting_.erase(seq);
+  auto arrived = replies_.extract(seq);
+  if (!s.ok()) return s;
+  if (!arrived.empty()) {
+    *reply = std::move(arrived.mapped());
+    return Status::OK();
   }
   if (dead_) return Status::Unavailable("worker down");
-  if (!arrived) {
-    return Status::DeadlineExceeded("worker command " + std::to_string(seq) +
-                                    " timed out");
-  }
-  return Status::Unavailable("worker down");
+  return Status::DeadlineExceeded(std::string(what) + " " +
+                                  std::to_string(seq) + " timed out");
 }
 
 Status ShardWorkerProxy::Send(const std::shared_ptr<BatchState>& batch,
@@ -358,7 +352,8 @@ Status ShardWorkerProxy::Send(const std::shared_ptr<BatchState>& batch,
   msg.now = batch->now;
   msg.url = job.url;
   msg.body = job.body;
-  Status s = WriteFrameLocked(msg.Encode(), options_.worker_command_timeout_ms);
+  Status s =
+      WriteFrameLocked(ipc::Encode(msg), options_.worker_command_timeout_ms);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     outstanding_.erase(slot);
@@ -375,50 +370,13 @@ Status ShardWorkerProxy::Checkpoint(
     seq = query_seq_++;
     checkpoints_[seq] = ticket;
   }
-  ipc::CheckpointMsg msg;
-  msg.seq = seq;
-  Status s = WriteFrameLocked(msg.Encode(), options_.worker_command_timeout_ms);
+  Status s = WriteFrameLocked(ipc::Encode(ipc::CheckpointMsg{seq}),
+                              options_.worker_command_timeout_ms);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     checkpoints_.erase(seq);
   }
   return s;
-}
-
-Result<ipc::DomainDocsMsg> ShardWorkerProxy::QueryDomain(
-    const std::string& domain) {
-  uint64_t seq;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (dead_ || !spawned_) return Status::Unavailable("worker down");
-    seq = query_seq_++;
-    waiting_domains_.insert(seq);
-  }
-  ipc::QueryDomainMsg msg;
-  msg.seq = seq;
-  msg.domain = domain;
-  Status s = WriteFrameLocked(msg.Encode(), options_.worker_command_timeout_ms);
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (!s.ok()) {
-    waiting_domains_.erase(seq);
-    domain_results_.erase(seq);
-    return s;
-  }
-  bool arrived = cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.worker_command_timeout_ms),
-      [&] { return dead_ || domain_results_.count(seq) > 0; });
-  waiting_domains_.erase(seq);
-  auto it = domain_results_.find(seq);
-  if (it != domain_results_.end()) {
-    ipc::DomainDocsMsg result = std::move(it->second);
-    domain_results_.erase(it);
-    return result;
-  }
-  if (dead_) return Status::Unavailable("worker down");
-  if (!arrived) {
-    return Status::DeadlineExceeded("worker domain query timed out");
-  }
-  return Status::Unavailable("worker down");
 }
 
 void ShardWorkerProxy::CollectDocuments(
@@ -430,9 +388,17 @@ void ShardWorkerProxy::CollectDocuments(
   // engine consumes them within one evaluation under the monitor's API
   // serialization.
   documents_.clear();
-  Result<ipc::DomainDocsMsg> result = QueryDomain(std::string(domain));
-  if (!result.ok()) return;  // worker down: degrade to live partitions
-  for (auto& doc : result->docs) {
+  uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    seq = query_seq_++;
+  }
+  Reply reply;
+  Status s = Request(seq,
+                     ipc::Encode(ipc::QueryDomainMsg{seq, std::string(domain)}),
+                     "worker domain query", &reply);
+  if (!s.ok()) return;  // worker down: degrade to live partitions
+  for (auto& doc : reply.docs.docs) {
     auto parsed = xml::Parse(doc.doc_xml);
     if (!parsed.ok()) continue;
     auto owned = std::make_unique<OwnedDoc>();
@@ -496,8 +462,8 @@ void ShardWorkerProxy::Shutdown() {
     }
   }
   if (try_graceful) {
-    ipc::ShutdownMsg msg;
-    if (WriteFrameLocked(msg.Encode(), /*deadline_ms=*/1000).ok()) {
+    if (WriteFrameLocked(ipc::Encode(ipc::ShutdownMsg{}), /*deadline_ms=*/1000)
+            .ok()) {
       // Bounded grace period, then the SIGKILL path below.
       for (int i = 0; i < 200; ++i) {
         {
@@ -575,25 +541,39 @@ void ShardWorkerProxy::ReaderLoop() {
                                   StatusCode::kCorruption);
       return;
     }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      last_rx_us_ = SteadyMicros();
+    }
     ipc::MsgType type;
     if (!ipc::PeekType(payload, &type)) {
       HandleDown("wire: unknown message type", /*proto_error=*/true);
       return;
     }
-    std::string_view body = std::string_view(payload).substr(1);
+    // A frame that does not decode runs the death path with Decode's reason.
+    auto decode = [&](auto* msg) {
+      Status st = ipc::Decode(payload, msg);
+      if (!st.ok()) HandleDown(st.message(), /*proto_error=*/true);
+      return st.ok();
+    };
+    // Hands a reply to the Request waiting on `seq`; a reply that arrives
+    // after its Request gave up is dropped.
+    auto answer = [&](uint64_t seq, Reply reply) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (waiting_.count(seq) > 0) replies_[seq] = std::move(reply);
+      }
+      cv_.notify_all();
+    };
 
     switch (type) {
       case ipc::MsgType::kSlotResult: {
         ipc::SlotResultMsg msg;
-        if (!ipc::SlotResultMsg::Decode(body, &msg).ok()) {
-          HandleDown("wire: malformed SlotResult", /*proto_error=*/true);
-          return;
-        }
+        if (!decode(&msg)) return;
         std::shared_ptr<BatchState> bs;
         PipelineShard* counters = nullptr;
         {
           std::lock_guard<std::mutex> lock(mutex_);
-          last_rx_us_ = SteadyMicros();
           document_count_ = msg.document_count;
           if (msg.batch != batch_seq_ || !batch_) break;  // stale batch
           auto it = outstanding_.find(msg.slot);
@@ -619,29 +599,18 @@ void ShardWorkerProxy::ReaderLoop() {
       }
       case ipc::MsgType::kCmdAck: {
         ipc::CmdAckMsg msg;
-        if (!ipc::CmdAckMsg::Decode(body, &msg).ok()) {
-          HandleDown("wire: malformed CmdAck", /*proto_error=*/true);
-          return;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          last_rx_us_ = SteadyMicros();
-          acks_[msg.seq] =
-              ipc::DecodeStatus(msg.status_code, std::move(msg.status_message));
-        }
-        cv_.notify_all();
+        if (!decode(&msg)) return;
+        Status ack =
+            ipc::DecodeStatus(msg.status_code, std::move(msg.status_message));
+        answer(msg.seq, {std::move(ack), {}});
         break;
       }
       case ipc::MsgType::kCheckpointDone: {
         ipc::CheckpointDoneMsg msg;
-        if (!ipc::CheckpointDoneMsg::Decode(body, &msg).ok()) {
-          HandleDown("wire: malformed CheckpointDone", /*proto_error=*/true);
-          return;
-        }
+        if (!decode(&msg)) return;
         std::shared_ptr<CheckpointTicket> ticket;
         {
           std::lock_guard<std::mutex> lock(mutex_);
-          last_rx_us_ = SteadyMicros();
           document_count_ = msg.document_count;
           auto it = checkpoints_.find(msg.seq);
           if (it != checkpoints_.end()) {
@@ -657,50 +626,29 @@ void ShardWorkerProxy::ReaderLoop() {
       }
       case ipc::MsgType::kPong: {
         ipc::PongMsg msg;
-        if (!ipc::PongMsg::Decode(body, &msg).ok()) {
-          HandleDown("wire: malformed Pong", /*proto_error=*/true);
-          return;
-        }
+        if (!decode(&msg)) return;
         std::lock_guard<std::mutex> lock(mutex_);
-        last_rx_us_ = SteadyMicros();
         document_count_ = msg.document_count;
         break;
       }
       case ipc::MsgType::kDomainDocs: {
         ipc::DomainDocsMsg msg;
-        if (!ipc::DomainDocsMsg::Decode(body, &msg).ok()) {
-          HandleDown("wire: malformed DomainDocs", /*proto_error=*/true);
-          return;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          last_rx_us_ = SteadyMicros();
-          if (waiting_domains_.count(msg.seq) > 0) {
-            domain_results_[msg.seq] = std::move(msg);
-          }
-        }
-        cv_.notify_all();
+        if (!decode(&msg)) return;
+        const uint64_t seq = msg.seq;
+        answer(seq, {Status::OK(), std::move(msg)});
         break;
       }
       case ipc::MsgType::kDtdIdReq: {
         ipc::DtdIdReqMsg msg;
-        if (!ipc::DtdIdReqMsg::Decode(body, &msg).ok()) {
-          HandleDown("wire: malformed DtdIdReq", /*proto_error=*/true);
-          return;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          last_rx_us_ = SteadyMicros();
-        }
-        ipc::DtdIdRespMsg resp;
-        resp.dtd_url = msg.dtd_url;
-        resp.id = supervision_.dtd_id_for
-                      ? supervision_.dtd_id_for(msg.dtd_url)
-                      : 0;
+        if (!decode(&msg)) return;
+        const uint32_t id = supervision_.dtd_id_for
+                                ? supervision_.dtd_id_for(msg.dtd_url)
+                                : 0;
         // The worker blocks on this answer mid-slot; an unresponsive write
         // here means the worker is doomed anyway — the heartbeat reaps it.
         Status write_status =
-            WriteFrameLocked(resp.Encode(), options_.worker_command_timeout_ms);
+            WriteFrameLocked(ipc::Encode(ipc::DtdIdRespMsg{msg.dtd_url, id}),
+                             options_.worker_command_timeout_ms);
         (void)write_status;
         break;
       }
@@ -738,11 +686,10 @@ void ShardWorkerProxy::HeartbeatLoop() {
       }
       token = ++ping_token_;
     }
-    ipc::PingMsg ping;
-    ping.token = token;
     // Failure is the reader's signal, not ours.
     Status ping_status =
-        WriteFrameLocked(ping.Encode(), options_.worker_heartbeat_interval_ms);
+        WriteFrameLocked(ipc::Encode(ipc::PingMsg{token}),
+                         options_.worker_heartbeat_interval_ms);
     (void)ping_status;
   }
 }
@@ -791,10 +738,7 @@ void ShardWorkerProxy::FailOutstandingLocked(
     }
     lock.lock();
   }
-  // Pending command acks fail Unavailable (the waiters re-check dead_).
-  for (uint64_t seq : waiting_acks_) {
-    acks_[seq] = Status::Unavailable("worker down");
-  }
+  // Waiting Requests see dead_ and return Unavailable.
   // Checkpoint markers complete Unavailable — the partition on disk is what
   // the respawn rebuilds from.
   std::map<uint64_t, std::shared_ptr<CheckpointTicket>> checkpoints;

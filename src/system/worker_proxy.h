@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/result.h"
 #include "src/ipc/wire.h"
 #include "src/system/pipeline.h"
 
@@ -136,10 +135,21 @@ class ShardWorkerProxy : public ShardTransport {
   Status Spawn();
   /// Tells the worker to open its storage partition (`partition_cmd_`).
   Status SendOpenPartition();
+  /// The answer to a Request: a CmdAck's status, or a DomainDocs frame.
+  struct Reply {
+    Status status;
+    ipc::DomainDocsMsg docs;
+  };
+
   /// Sends one already-encoded command frame (carrying `seq`) and waits for
   /// its CmdAck.
   Status Command(uint64_t seq, const std::string& payload);
-  Result<ipc::DomainDocsMsg> QueryDomain(const std::string& domain);
+  /// The one send-and-wait: writes `payload`, a request carrying `seq`, and
+  /// waits up to worker_command_timeout_ms for the reader to hand over the
+  /// worker's reply. Unavailable if the worker is or goes down,
+  /// DeadlineExceeded ("<what> <seq> timed out") if no reply comes.
+  Status Request(uint64_t seq, const std::string& payload, const char* what,
+                 Reply* reply);
   void Shutdown();
   void ReaderLoop();
   void HeartbeatLoop();
@@ -181,11 +191,9 @@ class ShardWorkerProxy : public ShardTransport {
   std::unordered_set<size_t> outstanding_;
 
   // Pending request/response conversations, keyed by seq.
-  std::map<uint64_t, Status> acks_;           // arrived acks
-  std::unordered_set<uint64_t> waiting_acks_; // seqs a Command waits on
+  std::unordered_set<uint64_t> waiting_;  // seqs a Request waits on
+  std::map<uint64_t, Reply> replies_;     // arrived, for a waiting seq
   std::map<uint64_t, std::shared_ptr<CheckpointTicket>> checkpoints_;
-  std::map<uint64_t, ipc::DomainDocsMsg> domain_results_;
-  std::unordered_set<uint64_t> waiting_domains_;
   uint64_t query_seq_ = 1u << 20;  // distinct range from command seqs
 
   PipelineShard* counter_shard_ = nullptr;

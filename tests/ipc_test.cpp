@@ -2,10 +2,11 @@
 // supervisor/worker handshake, and kill-and-restart containment.
 //
 // Five tiers:
-//   1. Wire format — frame/message roundtrips, then the corruption sweep:
-//      truncations, bit flips, oversized length headers and seeded garbage
-//      against both the frame reader and every message decoder (clean
-//      Status, never a crash or an unbounded allocation).
+//   1. Wire format — frame/message roundtrips, the pinned version-1 bytes
+//      of one frame of every type, then the corruption sweep: truncations,
+//      bit flips, oversized length headers and seeded garbage against both
+//      the frame reader and every message decoder (clean Status, never a
+//      crash or an unbounded allocation).
 //   2. Worker protocol — a real worker process fed garbage or a bad
 //      handshake exits with the protocol code instead of crashing.
 //   3. Equivalence — the seeded workload (monitoring subscriptions plus a
@@ -34,9 +35,13 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -113,7 +118,7 @@ TEST(WireFrameTest, PeekTypeRejectsEmptyAndUnknown) {
   EXPECT_FALSE(ipc::PeekType("", &type));
   EXPECT_FALSE(ipc::PeekType(std::string(1, '\x63'), &type));  // type 99
   EXPECT_FALSE(ipc::PeekType(std::string(1, '\x00'), &type));
-  ASSERT_TRUE(ipc::PeekType(ipc::PingMsg{7}.Encode(), &type));
+  ASSERT_TRUE(ipc::PeekType(ipc::Encode(ipc::PingMsg{7}), &type));
   EXPECT_EQ(type, MsgType::kPing);
 }
 
@@ -139,14 +144,12 @@ TEST(WireMessageTest, HelloRoundtripsWithFaultPlan) {
   msg.faults.push_back({2, 1, 5, 1500, "http://w0.example/doc.xml"});
   msg.faults.push_back({1, 3, 1, 0, "http://w1.example/x.xml"});
 
-  std::string payload = msg.Encode();
+  std::string payload = ipc::Encode(msg);
   MsgType type;
   ASSERT_TRUE(ipc::PeekType(payload, &type));
   ASSERT_EQ(type, MsgType::kHello);
   ipc::HelloMsg got;
-  ASSERT_TRUE(ipc::HelloMsg::Decode(
-                  std::string_view(payload).substr(1), &got)
-                  .ok());
+  ASSERT_TRUE(ipc::Decode(payload, &got).ok());
   EXPECT_EQ(got.magic, ipc::kWireMagic);
   EXPECT_EQ(got.version, ipc::kWireVersion);
   EXPECT_EQ(got.shard_index, 3u);
@@ -181,11 +184,9 @@ TEST(WireMessageTest, SlotResultRoundtripsActionsAndDeltas) {
   msg.notify = {1, 30};
   msg.document_count = 19;
 
-  std::string payload = msg.Encode();
+  std::string payload = ipc::Encode(msg);
   ipc::SlotResultMsg got;
-  ASSERT_TRUE(ipc::SlotResultMsg::Decode(
-                  std::string_view(payload).substr(1), &got)
-                  .ok());
+  ASSERT_TRUE(ipc::Decode(payload, &got).ok());
   EXPECT_EQ(got.batch, 42u);
   EXPECT_EQ(got.slot, 7u);
   EXPECT_EQ(got.processed, 1);
@@ -249,11 +250,9 @@ TEST(WireMessageTest, DomainDocsRoundtripsMetaAndBody) {
   doc.dtd_url = "art.dtd";
   msg.docs.push_back(doc);
 
-  std::string payload = msg.Encode();
+  std::string payload = ipc::Encode(msg);
   ipc::DomainDocsMsg got;
-  ASSERT_TRUE(ipc::DomainDocsMsg::Decode(
-                  std::string_view(payload).substr(1), &got)
-                  .ok());
+  ASSERT_TRUE(ipc::Decode(payload, &got).ok());
   EXPECT_EQ(got.seq, 9u);
   ASSERT_EQ(got.docs.size(), 1u);
   EXPECT_EQ(got.docs[0].meta.docid, 12u);
@@ -267,9 +266,8 @@ TEST(WireMessageTest, SmallMessagesRoundtrip) {
   {
     ipc::CmdAckMsg msg{11, 3, "nope"};
     ipc::CmdAckMsg got;
-    std::string p = msg.Encode();
-    ASSERT_TRUE(
-        ipc::CmdAckMsg::Decode(std::string_view(p).substr(1), &got).ok());
+    std::string p = ipc::Encode(msg);
+    ASSERT_TRUE(ipc::Decode(p, &got).ok());
     EXPECT_EQ(got.seq, 11u);
     EXPECT_EQ(got.status_code, 3);
     EXPECT_EQ(got.status_message, "nope");
@@ -277,9 +275,8 @@ TEST(WireMessageTest, SmallMessagesRoundtrip) {
   {
     ipc::SlotMsg msg{5, 2, 1, 40, 1234, "http://w0.example/d.xml", "<p/>"};
     ipc::SlotMsg got;
-    std::string p = msg.Encode();
-    ASSERT_TRUE(
-        ipc::SlotMsg::Decode(std::string_view(p).substr(1), &got).ok());
+    std::string p = ipc::Encode(msg);
+    ASSERT_TRUE(ipc::Decode(p, &got).ok());
     EXPECT_EQ(got.batch, 5u);
     EXPECT_EQ(got.slot, 2u);
     EXPECT_EQ(got.deletion, 1);
@@ -291,11 +288,188 @@ TEST(WireMessageTest, SmallMessagesRoundtrip) {
   {
     ipc::PongMsg msg{99, 17};
     ipc::PongMsg got;
-    std::string p = msg.Encode();
-    ASSERT_TRUE(
-        ipc::PongMsg::Decode(std::string_view(p).substr(1), &got).ok());
+    std::string p = ipc::Encode(msg);
+    ASSERT_TRUE(ipc::Decode(p, &got).ok());
     EXPECT_EQ(got.token, 99u);
     EXPECT_EQ(got.document_count, 17u);
+  }
+}
+
+// ------------------------------------------------------ one frame per type --
+
+/// One sample message of every frame type. The golden-bytes test and the
+/// decoder sweep walk MsgType from kHello to kShutdown and fail on a type
+/// missing here, so a frame added later cannot skip them.
+const auto kSamples = std::make_tuple(
+    ipc::HelloMsg{ipc::kWireMagic, ipc::kWireVersion, 1, 4, 1, 0, 3,
+                  {{2, 1, 5, 1500, "http://u"},
+                   {1, 3, 1, 0, "http://v/x.xml"}}},
+    ipc::HelloAckMsg{1, 1234},
+    ipc::OpenPartitionMsg{1, "wh.part0", 1, 1 << 20},
+    ipc::SubscribeMsg{2, 99, 1, "subscription S\n", "a@x"},
+    ipc::UnsubscribeMsg{3, 99, "S"},
+    ipc::DomainRuleMsg{4, "culture", "museum", "museum", "art"},
+    ipc::CmdAckMsg{5, 3, "nope"},
+    ipc::SlotMsg{6, 1, 0, 7, 99, "http://u", "<p/>"},
+    ipc::SlotResultMsg{7, 2, 1, 0, 1, 1, "detect", 10, "stage threw",
+                       {{1, "S", "Q", "<x/>", "k"}, {0, "S2", "", "", ""}},
+                       {3, 1200}, {3, 450}, {2, 90}, {1, 30}, 19},
+    ipc::CheckpointMsg{8},
+    ipc::CheckpointDoneMsg{8, 0, "", 12},
+    ipc::PingMsg{9},
+    ipc::PongMsg{9, 12},
+    ipc::QueryDomainMsg{10, "culture"},
+    ipc::DomainDocsMsg{10,
+                       {{{1, "http://u", "f", 1, "d", "u", 1, "dom", 1, 2,
+                          0x0123456789abcdefull, 1},
+                         "<d/>", "d", "u"},
+                        {{2, "http://v", "g", 0, "", "", 0, "dom", -5, -1, 0,
+                          2},
+                         "", "", ""}}},
+    ipc::DtdIdReqMsg{"art.dtd"},
+    ipc::DtdIdRespMsg{"art.dtd", 4},
+    ipc::ShutdownMsg{});
+
+/// The encoded sample frame of `type` ("" if kSamples has none).
+std::string SamplePayload(MsgType type) {
+  std::string payload;
+  std::apply(
+      [&](const auto&... sample) {
+        auto pick = [&](const auto& msg) {
+          if (msg.kType == type) payload = ipc::Encode(msg);
+        };
+        (pick(sample), ...);
+      },
+      kSamples);
+  return payload;
+}
+
+/// Decodes `payload` with the decoder its type byte names: the message type
+/// of the kSamples entry with that type.
+Status DecodeAnyFrame(std::string_view payload) {
+  MsgType type = MsgType::kHello;
+  if (!ipc::PeekType(payload, &type)) {
+    return Status::Corruption("unknown type");
+  }
+  Status status = Status::Corruption("no sample of this type");
+  std::apply(
+      [&](const auto&... sample) {
+        auto decode_as = [&](const auto& like) {
+          if (like.kType != type) return;
+          std::remove_cvref_t<decltype(like)> msg;
+          status = ipc::Decode(payload, &msg);
+        };
+        (decode_as(sample), ...);
+      },
+      kSamples);
+  return status;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+TEST(WireMessageTest, EveryFrameKeepsItsVersion1Bytes) {
+  // The version-1 bytes of each sample frame, one string per field. Any
+  // change here is a wire format change: bump kWireVersion together with
+  // this table.
+  const std::map<MsgType, std::string> golden = {
+      {MsgType::kHello,
+       "01" "574d5958" "01000000" "01000000" "04000000" "01" "00" "03000000"
+       "02000000"
+       "02" "01" "05000000" "dc050000" "08000000" "687474703a2f2f75"
+       "01" "03" "01000000" "00000000" "0e000000"
+       "687474703a2f2f762f782e786d6c"},
+      {MsgType::kHelloAck, "02" "01000000" "d204000000000000"},
+      {MsgType::kOpenPartition,
+       "03" "0100000000000000" "08000000" "77682e7061727430" "01000000"
+       "0000100000000000"},
+      {MsgType::kSubscribe,
+       "04" "0200000000000000" "6300000000000000" "01"
+       "0f000000" "737562736372697074696f6e20530a" "03000000" "614078"},
+      {MsgType::kUnsubscribe,
+       "05" "0300000000000000" "6300000000000000" "01000000" "53"},
+      {MsgType::kDomainRule,
+       "06" "0400000000000000" "07000000" "63756c74757265"
+       "06000000" "6d757365756d" "06000000" "6d757365756d"
+       "03000000" "617274"},
+      {MsgType::kCmdAck, "07" "0500000000000000" "03" "04000000" "6e6f7065"},
+      {MsgType::kSlot,
+       "08" "0600000000000000" "01000000" "00" "0700000000000000"
+       "6300000000000000" "08000000" "687474703a2f2f75"
+       "04000000" "3c702f3e"},
+      {MsgType::kSlotResult,
+       "09" "0700000000000000" "02000000" "01" "00" "01" "01"
+       "06000000" "646574656374" "0a" "0b000000" "7374616765207468726577"
+       "02000000"
+       "01" "01000000" "53" "01000000" "51" "04000000" "3c782f3e"
+       "01000000" "6b"
+       "00" "02000000" "5332" "00000000" "00000000" "00000000"
+       "0300000000000000" "b004000000000000"
+       "0300000000000000" "c201000000000000"
+       "0200000000000000" "5a00000000000000"
+       "0100000000000000" "1e00000000000000"
+       "1300000000000000"},
+      {MsgType::kCheckpoint, "0a" "0800000000000000"},
+      {MsgType::kCheckpointDone,
+       "0b" "0800000000000000" "00" "00000000" "0c00000000000000"},
+      {MsgType::kPing, "0c" "0900000000000000"},
+      {MsgType::kPong, "0d" "0900000000000000" "0c00000000000000"},
+      {MsgType::kQueryDomain,
+       "0e" "0a00000000000000" "07000000" "63756c74757265"},
+      {MsgType::kDomainDocs,
+       "0f" "0a00000000000000" "02000000"
+       "0100000000000000" "08000000" "687474703a2f2f75" "01000000" "66"
+       "01" "01000000" "64" "01000000" "75" "01000000" "03000000" "646f6d"
+       "0100000000000000" "0200000000000000" "efcdab8967452301" "01"
+       "04000000" "3c642f3e" "01000000" "64" "01000000" "75"
+       "0200000000000000" "08000000" "687474703a2f2f76" "01000000" "67"
+       "00" "00000000" "00000000" "00000000" "03000000" "646f6d"
+       "fbffffffffffffff" "ffffffffffffffff" "0000000000000000" "02"
+       "00000000" "00000000" "00000000"},
+      {MsgType::kDtdIdReq, "10" "07000000" "6172742e647464"},
+      {MsgType::kDtdIdResp, "11" "07000000" "6172742e647464" "04000000"},
+      {MsgType::kShutdown, "12"},
+  };
+  EXPECT_EQ(ipc::kWireVersion, 1u);
+  for (auto t = static_cast<uint8_t>(MsgType::kHello);
+       t <= static_cast<uint8_t>(MsgType::kShutdown); ++t) {
+    const auto type = static_cast<MsgType>(t);
+    SCOPED_TRACE(ipc::MsgTypeName(type));
+    const std::string payload = SamplePayload(type);
+    ASSERT_FALSE(payload.empty()) << "no sample frame of this type";
+    auto want = golden.find(type);
+    ASSERT_NE(want, golden.end()) << "no golden bytes for this type";
+    EXPECT_EQ(Hex(payload), want->second);
+  }
+}
+
+TEST(WireMessageTest, DecodeRejectsAFrameOfAnotherType) {
+  // Some frames share a layout (Ping and Checkpoint are one u64 each): only
+  // the type byte tells them apart, so every decoder must check it.
+  for (auto t = static_cast<uint8_t>(MsgType::kHello);
+       t <= static_cast<uint8_t>(MsgType::kShutdown); ++t) {
+    const auto type = static_cast<MsgType>(t);
+    SCOPED_TRACE(ipc::MsgTypeName(type));
+    const std::string payload = SamplePayload(type);
+    ASSERT_FALSE(payload.empty()) << "no sample frame of this type";
+    std::apply(
+        [&](const auto&... sample) {
+          auto decode_as = [&](const auto& like) {
+            std::remove_cvref_t<decltype(like)> msg;
+            Status st = ipc::Decode(payload, &msg);
+            EXPECT_EQ(st.ok(), like.kType == type)
+                << "decoded as " << ipc::MsgTypeName(like.kType);
+          };
+          (decode_as(sample), ...);
+        },
+        kSamples);
   }
 }
 
@@ -330,7 +504,7 @@ std::string CaptureFrame(const std::string& payload) {
 }
 
 TEST(WireCorruptionTest, EveryBitFlipIsRejected) {
-  const std::string frame = CaptureFrame(ipc::PingMsg{0x1234}.Encode());
+  const std::string frame = CaptureFrame(ipc::Encode(ipc::PingMsg{0x1234}));
   ASSERT_EQ(frame.size(), ipc::kFrameHeaderLen + 9);
   ASSERT_TRUE(ReadRawFrame(frame).ok());  // the unflipped control
 
@@ -344,8 +518,8 @@ TEST(WireCorruptionTest, EveryBitFlipIsRejected) {
 
 TEST(WireCorruptionTest, TruncationsAreRejectedAtEveryLength) {
   const std::string frame =
-      CaptureFrame(ipc::SubscribeMsg{1, 99, 1, "subscription S\n", "a@x"}
-                       .Encode());
+      CaptureFrame(ipc::Encode(
+          ipc::SubscribeMsg{1, 99, 1, "subscription S\n", "a@x"}));
   for (size_t len = 0; len < frame.size(); ++len) {
     Status st = ReadRawFrame(frame.substr(0, len));
     EXPECT_FALSE(st.ok()) << "truncation at " << len << " accepted";
@@ -379,134 +553,17 @@ TEST(WireCorruptionTest, SeededGarbageNeverCrashesTheFrameReader) {
 }
 
 TEST(WireCorruptionTest, DecodersRejectTruncationAndSurviveBitFlips) {
-  // One representative payload per message type (type byte first).
-  const std::vector<std::string> payloads = {
-      ipc::HelloMsg{ipc::kWireMagic, ipc::kWireVersion, 1, 4, 1, 1, 3,
-                    {{2, 1, 5, 1500, "http://u"}}}
-          .Encode(),
-      ipc::HelloAckMsg{1, 1234}.Encode(),
-      ipc::OpenPartitionMsg{1, "wh.part0", 1, 1 << 20}.Encode(),
-      ipc::SubscribeMsg{2, 99, 1, "subscription S\n", "a@x"}.Encode(),
-      ipc::UnsubscribeMsg{3, 99, "S"}.Encode(),
-      ipc::DomainRuleMsg{4, "culture", "museum", "museum", "art"}.Encode(),
-      ipc::CmdAckMsg{5, 0, ""}.Encode(),
-      ipc::SlotMsg{6, 1, 0, 7, 99, "http://u", "<p/>"}.Encode(),
-      [] {
-        ipc::SlotResultMsg m;
-        m.batch = 7;
-        m.actions.push_back({1, "S", "Q", "<x/>", "k"});
-        return m.Encode();
-      }(),
-      ipc::CheckpointMsg{8}.Encode(),
-      ipc::CheckpointDoneMsg{8, 0, "", 12}.Encode(),
-      ipc::PingMsg{9}.Encode(),
-      ipc::PongMsg{9, 12}.Encode(),
-      ipc::QueryDomainMsg{10, "culture"}.Encode(),
-      [] {
-        ipc::DomainDocsMsg m;
-        m.seq = 10;
-        m.docs.push_back({{1, "http://u", "f", 1, "d", "u", 1, "dom", 1, 2,
-                           3, 1},
-                          "<d/>", "d", "u"});
-        return m.Encode();
-      }(),
-      ipc::DtdIdReqMsg{"art.dtd"}.Encode(),
-      ipc::DtdIdRespMsg{"art.dtd", 4}.Encode(),
-      ipc::ShutdownMsg{}.Encode(),
-  };
-
-  // Decode the payload body with the decoder its type byte names. Returns
-  // the decode status; the point is that it returns at all.
-  auto decode = [](const std::string& payload) {
-    MsgType type;
-    if (!ipc::PeekType(payload, &type)) {
-      return Status::Corruption("unknown type");
-    }
-    std::string_view body = std::string_view(payload).substr(1);
-    switch (type) {
-      case MsgType::kHello: {
-        ipc::HelloMsg m;
-        return ipc::HelloMsg::Decode(body, &m);
-      }
-      case MsgType::kHelloAck: {
-        ipc::HelloAckMsg m;
-        return ipc::HelloAckMsg::Decode(body, &m);
-      }
-      case MsgType::kOpenPartition: {
-        ipc::OpenPartitionMsg m;
-        return ipc::OpenPartitionMsg::Decode(body, &m);
-      }
-      case MsgType::kSubscribe: {
-        ipc::SubscribeMsg m;
-        return ipc::SubscribeMsg::Decode(body, &m);
-      }
-      case MsgType::kUnsubscribe: {
-        ipc::UnsubscribeMsg m;
-        return ipc::UnsubscribeMsg::Decode(body, &m);
-      }
-      case MsgType::kDomainRule: {
-        ipc::DomainRuleMsg m;
-        return ipc::DomainRuleMsg::Decode(body, &m);
-      }
-      case MsgType::kCmdAck: {
-        ipc::CmdAckMsg m;
-        return ipc::CmdAckMsg::Decode(body, &m);
-      }
-      case MsgType::kSlot: {
-        ipc::SlotMsg m;
-        return ipc::SlotMsg::Decode(body, &m);
-      }
-      case MsgType::kSlotResult: {
-        ipc::SlotResultMsg m;
-        return ipc::SlotResultMsg::Decode(body, &m);
-      }
-      case MsgType::kCheckpoint: {
-        ipc::CheckpointMsg m;
-        return ipc::CheckpointMsg::Decode(body, &m);
-      }
-      case MsgType::kCheckpointDone: {
-        ipc::CheckpointDoneMsg m;
-        return ipc::CheckpointDoneMsg::Decode(body, &m);
-      }
-      case MsgType::kPing: {
-        ipc::PingMsg m;
-        return ipc::PingMsg::Decode(body, &m);
-      }
-      case MsgType::kPong: {
-        ipc::PongMsg m;
-        return ipc::PongMsg::Decode(body, &m);
-      }
-      case MsgType::kQueryDomain: {
-        ipc::QueryDomainMsg m;
-        return ipc::QueryDomainMsg::Decode(body, &m);
-      }
-      case MsgType::kDomainDocs: {
-        ipc::DomainDocsMsg m;
-        return ipc::DomainDocsMsg::Decode(body, &m);
-      }
-      case MsgType::kDtdIdReq: {
-        ipc::DtdIdReqMsg m;
-        return ipc::DtdIdReqMsg::Decode(body, &m);
-      }
-      case MsgType::kDtdIdResp: {
-        ipc::DtdIdRespMsg m;
-        return ipc::DtdIdRespMsg::Decode(body, &m);
-      }
-      case MsgType::kShutdown: {
-        ipc::ShutdownMsg m;
-        return ipc::ShutdownMsg::Decode(body, &m);
-      }
-    }
-    return Status::Corruption("unhandled type");
-  };
-
-  for (const std::string& payload : payloads) {
-    SCOPED_TRACE("type " + std::to_string(payload.empty() ? -1 : payload[0]));
-    ASSERT_TRUE(decode(payload).ok());
+  for (auto t = static_cast<uint8_t>(MsgType::kHello);
+       t <= static_cast<uint8_t>(MsgType::kShutdown); ++t) {
+    const auto type = static_cast<MsgType>(t);
+    SCOPED_TRACE(ipc::MsgTypeName(type));
+    const std::string payload = SamplePayload(type);
+    ASSERT_FALSE(payload.empty()) << "no sample frame of this type";
+    ASSERT_TRUE(DecodeAnyFrame(payload).ok());
     // Every proper prefix is missing at least one field (or fails the
     // trailing-bytes check): clean Corruption, never a crash.
     for (size_t len = 0; len < payload.size(); ++len) {
-      Status st = decode(payload.substr(0, len));
+      Status st = DecodeAnyFrame(payload.substr(0, len));
       EXPECT_FALSE(st.ok()) << "prefix " << len << " accepted";
     }
     // Bit flips may still decode (a flipped string byte is just a different
@@ -514,7 +571,7 @@ TEST(WireCorruptionTest, DecodersRejectTruncationAndSurviveBitFlips) {
     for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
       std::string flipped = payload;
       flipped[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-      (void)decode(flipped);
+      (void)DecodeAnyFrame(flipped);
     }
   }
 }
@@ -562,7 +619,7 @@ TEST(WorkerProtocolTest, GarbageFrameExitsWithProtocolCode) {
   pid_t pid = SpawnRawWorker(&fd);
   ASSERT_GT(pid, 0);
   // A syntactically valid frame whose CRC lies about its payload.
-  std::string frame = CaptureFrame(ipc::PingMsg{1}.Encode());
+  std::string frame = CaptureFrame(ipc::Encode(ipc::PingMsg{1}));
   frame.back() ^= 0x40;
   ASSERT_EQ(write(fd, frame.data(), frame.size()),
             static_cast<ssize_t>(frame.size()));
@@ -578,7 +635,7 @@ TEST(WorkerProtocolTest, VersionMismatchIsRefusedBeforeAnyState) {
   ASSERT_GT(pid, 0);
   ipc::HelloMsg hello;
   hello.version = ipc::kWireVersion + 1;
-  ASSERT_TRUE(WriteFrame(fd, hello.Encode()).ok());
+  ASSERT_TRUE(WriteFrame(fd, ipc::Encode(hello)).ok());
   int wstatus = ReapWorker(pid);
   ASSERT_TRUE(WIFEXITED(wstatus));
   EXPECT_EQ(WEXITSTATUS(wstatus), 3);
@@ -589,7 +646,7 @@ TEST(WorkerProtocolTest, HandshakeAnswersVersionAndPid) {
   int fd;
   pid_t pid = SpawnRawWorker(&fd);
   ASSERT_GT(pid, 0);
-  Status hello_st = WriteFrame(fd, ipc::HelloMsg{}.Encode());
+  Status hello_st = WriteFrame(fd, ipc::Encode(ipc::HelloMsg{}));
   ASSERT_TRUE(hello_st.ok()) << hello_st.ToString();
   std::string payload;
   ASSERT_TRUE(ReadFrame(fd, &payload, ScaledMs(5000)).ok());
@@ -597,12 +654,10 @@ TEST(WorkerProtocolTest, HandshakeAnswersVersionAndPid) {
   ASSERT_TRUE(ipc::PeekType(payload, &type));
   ASSERT_EQ(type, MsgType::kHelloAck);
   ipc::HelloAckMsg ack;
-  ASSERT_TRUE(ipc::HelloAckMsg::Decode(
-                  std::string_view(payload).substr(1), &ack)
-                  .ok());
+  ASSERT_TRUE(ipc::Decode(payload, &ack).ok());
   EXPECT_EQ(ack.version, ipc::kWireVersion);
   EXPECT_EQ(ack.pid, static_cast<uint64_t>(pid));
-  ASSERT_TRUE(WriteFrame(fd, ipc::ShutdownMsg{}.Encode()).ok());
+  ASSERT_TRUE(WriteFrame(fd, ipc::Encode(ipc::ShutdownMsg{})).ok());
   int wstatus = ReapWorker(pid);
   ASSERT_TRUE(WIFEXITED(wstatus));
   EXPECT_EQ(WEXITSTATUS(wstatus), 0);
