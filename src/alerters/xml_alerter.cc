@@ -1,6 +1,7 @@
 #include "src/alerters/xml_alerter.h"
 
 #include <algorithm>
+#include <cctype>
 #include <unordered_set>
 
 #include "src/common/string_util.h"
@@ -15,7 +16,10 @@ uint8_t OpBit(ChangeOp op) { return static_cast<uint8_t>(1u << static_cast<int>(
 }  // namespace
 
 /// Postorder walk maintaining per-node interesting-word lists (the paper's
-/// "stack of lists of words").
+/// "stack of lists of words"). The lists are ranges of one reused buffer of
+/// word entries: a walk leaves its subtree's words, deduplicated, at the end
+/// of the buffer, so a node's range is its children's ranges followed by the
+/// words of its own text.
 class XmlTraversal {
  public:
   XmlTraversal(const XmlAlerter& alerter,
@@ -23,102 +27,112 @@ class XmlTraversal {
                std::vector<mqp::AtomicEvent>* out)
       : alerter_(alerter), ops_(ops), out_(out) {}
 
-  /// Walks `node`'s subtree; `forced_ops` is OR-ed into every element's op
-  /// mask (used for deleted subtrees). Returns the interesting words of the
-  /// subtree (deduplicated).
-  std::vector<const std::string*> Walk(const xml::Node& node,
-                                       uint8_t forced_ops) {
-    std::vector<const std::string*> subtree_words;
-    std::vector<const std::string*> direct_words;
-
-    for (const auto& child : node.children()) {
-      if (child->is_text()) {
-        for (const std::string& token : TokenizeWords(child->text())) {
-          const std::string* interned = Intern(token);
-          if (interned != nullptr) direct_words.push_back(interned);
-        }
-      } else if (child->is_element()) {
-        auto child_words = Walk(*child, forced_ops);
-        subtree_words.insert(subtree_words.end(), child_words.begin(),
-                             child_words.end());
-      }
+  /// Walks the live document, then raises the `self contains` codes of
+  /// every word it holds.
+  void WalkDocument(const xml::Node& root) {
+    words_.clear();
+    for (size_t k = Walk(root, /*forced_ops=*/0); k < words_.size(); ++k) {
+      if (words_[k]->self_contains) out_->push_back(*words_[k]->self_contains);
     }
-    subtree_words.insert(subtree_words.end(), direct_words.begin(),
-                         direct_words.end());
-    Dedupe(&subtree_words);
-    Dedupe(&direct_words);
-
-    if (node.is_element()) {
-      uint8_t mask = forced_ops;
-      auto it = ops_.find(&node);
-      if (it != ops_.end()) mask |= it->second;
-      Evaluate(node, mask, subtree_words, direct_words);
-    }
-    return subtree_words;
   }
 
-  void EmitSelfContains(const std::vector<const std::string*>& words) {
-    if (alerter_.self_contains_.empty()) return;
-    for (const std::string* word : words) {
-      auto it = alerter_.self_contains_.find(*word);
-      if (it != alerter_.self_contains_.end()) out_->push_back(it->second);
-    }
+  /// Walks a deleted subtree with the deleted bit forced on every element.
+  void WalkDeleted(const xml::Node& subtree) {
+    words_.clear();
+    Walk(subtree, OpBit(ChangeOp::kDeleted));
   }
 
  private:
-  /// Returns a stable pointer if the word is interesting, nullptr otherwise.
-  const std::string* Intern(const std::string& word) {
-    auto wt = alerter_.word_table_.find(word);
-    if (wt != alerter_.word_table_.end()) return &wt->first;
-    auto sc = alerter_.self_contains_.find(word);
-    if (sc != alerter_.self_contains_.end()) return &sc->first;
-    return nullptr;
-  }
+  using WordEntry = XmlAlerter::WordEntry;
 
-  static void Dedupe(std::vector<const std::string*>* words) {
-    std::sort(words->begin(), words->end());
-    words->erase(std::unique(words->begin(), words->end()), words->end());
-  }
-
-  void Evaluate(const xml::Node& node, uint8_t mask,
-                const std::vector<const std::string*>& subtree_words,
-                const std::vector<const std::string*>& direct_words) {
-    auto op_matches = [mask](const std::optional<ChangeOp>& op) {
-      return !op.has_value() || (mask & OpBit(*op)) != 0;
-    };
-
-    auto tag_it = alerter_.tag_only_.find(node.name());
-    if (tag_it != alerter_.tag_only_.end()) {
-      for (const XmlAlerter::TagEntry& e : tag_it->second) {
-        if (op_matches(e.op)) out_->push_back(e.code);
+  /// Walks the subtree of the element `node`; `forced_ops` is OR-ed into
+  /// every element's op mask. Leaves the subtree's words in
+  /// words_[begin, end) and returns begin.
+  size_t Walk(const xml::Node& node, uint8_t forced_ops) {
+    const size_t begin = words_.size();
+    for (const auto& child : node.children()) {
+      if (child->is_element()) Walk(*child, forced_ops);
+    }
+    const size_t direct = words_.size();
+    if (!alerter_.word_table_.empty()) {
+      for (const auto& child : node.children()) {
+        if (child->is_text()) AppendWords(child->text());
       }
     }
+    uint8_t mask = forced_ops;
+    auto op = ops_.find(&node);
+    if (op != ops_.end()) mask |= op->second;
+    auto tag = alerter_.tag_only_.find(node.name());
+    if (tag != alerter_.tag_only_.end()) {
+      for (const XmlAlerter::TagEntry& e : tag->second) {
+        if (OpMatches(e.op, mask)) out_->push_back(e.code);
+      }
+    }
+    Dedupe(direct);
+    Probe(node, mask, direct, /*strict=*/true);
+    Dedupe(begin);
+    Probe(node, mask, begin, /*strict=*/false);
+    return begin;
+  }
 
-    if (alerter_.word_table_.empty()) return;
-    auto probe = [&](const std::vector<const std::string*>& words,
-                     bool strict) {
-      for (const std::string* word : words) {
-        auto wt = alerter_.word_table_.find(*word);
-        if (wt == alerter_.word_table_.end()) continue;
-        auto tt = wt->second.find(node.name());
-        if (tt == wt->second.end()) continue;
-        for (const XmlAlerter::WordTagEntry& e : tt->second) {
-          if (e.strict == strict && op_matches(e.op)) out_->push_back(e.code);
+  /// Appends the entry of every interesting word of `text` with one lookup
+  /// per word, lower-casing through a reused buffer only words that have an
+  /// upper-case letter.
+  void AppendWords(std::string_view text) {
+    ForEachWord(text, [this](std::string_view word) {
+      auto is_upper = [](char c) {
+        return isupper(static_cast<unsigned char>(c)) != 0;
+      };
+      if (std::any_of(word.begin(), word.end(), is_upper)) {
+        lower_.assign(word);
+        for (char& c : lower_) {
+          c = static_cast<char>(tolower(static_cast<unsigned char>(c)));
+        }
+        word = lower_;
+      }
+      auto it = alerter_.word_table_.find(word);
+      if (it != alerter_.word_table_.end()) words_.push_back(&it->second);
+    });
+  }
+
+  /// Sorts and deduplicates words_[from, end).
+  void Dedupe(size_t from) {
+    auto first = words_.begin() + static_cast<std::ptrdiff_t>(from);
+    std::sort(first, words_.end());
+    words_.erase(std::unique(first, words_.end()), words_.end());
+  }
+
+  static bool OpMatches(const std::optional<ChangeOp>& op, uint8_t mask) {
+    return !op.has_value() || (mask & OpBit(*op)) != 0;
+  }
+
+  /// `contains` conditions on the node's tag for the words in
+  /// words_[from, end): strict ones for its direct words, the others for
+  /// its subtree's.
+  void Probe(const xml::Node& node, uint8_t mask, size_t from, bool strict) {
+    for (size_t k = from; k < words_.size(); ++k) {
+      const WordEntry& word = *words_[k];
+      if (word.tags.empty()) continue;
+      auto tt = word.tags.find(node.name());
+      if (tt == word.tags.end()) continue;
+      for (const XmlAlerter::WordTagEntry& e : tt->second) {
+        if (e.strict == strict && OpMatches(e.op, mask)) {
+          out_->push_back(e.code);
         }
       }
-    };
-    probe(subtree_words, /*strict=*/false);
-    probe(direct_words, /*strict=*/true);
+    }
   }
 
   const XmlAlerter& alerter_;
   const std::unordered_map<const xml::Node*, uint8_t>& ops_;
   std::vector<mqp::AtomicEvent>* out_;
+  std::vector<const WordEntry*> words_;
+  std::string lower_;
 };
 
 Status XmlAlerter::Register(mqp::AtomicEvent code, const Condition& c) {
   if (c.kind == ConditionKind::kSelfContains) {
-    self_contains_[ToLower(c.str_value)] = code;
+    word_table_[ToLower(c.str_value)].self_contains = code;
     ++condition_count_;
     return Status::OK();
   }
@@ -132,7 +146,7 @@ Status XmlAlerter::Register(mqp::AtomicEvent code, const Condition& c) {
   if (c.word.empty()) {
     tag_only_[c.tag].push_back(TagEntry{c.change_op, code});
   } else {
-    word_table_[ToLower(c.word)][c.tag].push_back(
+    word_table_[ToLower(c.word)].tags[c.tag].push_back(
         WordTagEntry{c.change_op, c.strict, code});
   }
   ++condition_count_;
@@ -141,7 +155,11 @@ Status XmlAlerter::Register(mqp::AtomicEvent code, const Condition& c) {
 
 Status XmlAlerter::Unregister(mqp::AtomicEvent code, const Condition& c) {
   if (c.kind == ConditionKind::kSelfContains) {
-    self_contains_.erase(ToLower(c.str_value));
+    auto wt = word_table_.find(ToLower(c.str_value));
+    if (wt != word_table_.end()) {
+      wt->second.self_contains.reset();
+      if (wt->second.tags.empty()) word_table_.erase(wt);
+    }
     if (condition_count_ > 0) --condition_count_;
     return Status::OK();
   }
@@ -163,12 +181,13 @@ Status XmlAlerter::Unregister(mqp::AtomicEvent code, const Condition& c) {
   } else {
     auto wt = word_table_.find(ToLower(c.word));
     if (wt != word_table_.end()) {
-      auto tt = wt->second.find(c.tag);
-      if (tt != wt->second.end()) {
+      auto& tags = wt->second.tags;
+      auto tt = tags.find(c.tag);
+      if (tt != tags.end()) {
         drop_code(tt->second);
-        if (tt->second.empty()) wt->second.erase(tt);
+        if (tt->second.empty()) tags.erase(tt);
       }
-      if (wt->second.empty()) word_table_.erase(wt);
+      if (tags.empty() && !wt->second.self_contains) word_table_.erase(wt);
     }
   }
   if (condition_count_ > 0) --condition_count_;
@@ -193,8 +212,7 @@ void XmlAlerter::Detect(const warehouse::IngestResult& ingest,
   XmlTraversal traversal(*this, ops, out);
   if (ingest.current != nullptr && ingest.current->root != nullptr &&
       ingest.meta.status != warehouse::DocStatus::kDeleted) {
-    auto words = traversal.Walk(*ingest.current->root, /*forced_ops=*/0);
-    traversal.EmitSelfContains(words);
+    traversal.WalkDocument(*ingest.current->root);
   }
 
   // Deleted subtrees live in the previous version (or the current one when
@@ -204,7 +222,7 @@ void XmlAlerter::Detect(const warehouse::IngestResult& ingest,
     if (node->parent() != nullptr && deleted.count(node->parent()) != 0) {
       continue;  // An ancestor covers this node.
     }
-    traversal.Walk(*node, OpBit(ChangeOp::kDeleted));
+    traversal.WalkDeleted(*node);
   }
 }
 

@@ -1,8 +1,10 @@
 #ifndef XYMON_ALERTERS_XML_ALERTER_H_
 #define XYMON_ALERTERS_XML_ALERTER_H_
 
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -50,15 +52,26 @@ class XmlAlerter {
     bool strict;
     mqp::AtomicEvent code;
   };
+  /// One interesting word: its TagTable (Figure 8) and its `self contains`
+  /// code. The entry lives while either part is registered.
+  struct WordEntry {
+    std::unordered_map<std::string, std::vector<WordTagEntry>> tags;
+    std::optional<mqp::AtomicEvent> self_contains;
+  };
+  /// Hashes std::string and std::string_view alike, so a token is looked up
+  /// without building a string.
+  struct WordHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view word) const {
+      return std::hash<std::string_view>()(word);
+    }
+  };
 
   // tag -> conditions without a contains part.
   std::unordered_map<std::string, std::vector<TagEntry>> tag_only_;
-  // word -> tag -> conditions with a contains part (Figure 8).
-  std::unordered_map<std::string,
-                     std::unordered_map<std::string, std::vector<WordTagEntry>>>
+  // lower-cased word -> its conditions (the WordTable of Figure 8).
+  std::unordered_map<std::string, WordEntry, WordHash, std::equal_to<>>
       word_table_;
-  // word -> `self contains` code.
-  std::unordered_map<std::string, mqp::AtomicEvent> self_contains_;
   size_t condition_count_ = 0;
 };
 

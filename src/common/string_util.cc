@@ -63,20 +63,11 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool IsWordChar(char c) {
-  unsigned char u = static_cast<unsigned char>(c);
-  return isalnum(u) || c == '_' || c == '-' || c == '.';
-}
-
 std::vector<std::string> TokenizeWords(std::string_view text) {
   std::vector<std::string> out;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && !IsWordChar(text[i])) ++i;
-    size_t start = i;
-    while (i < text.size() && IsWordChar(text[i])) ++i;
-    if (i > start) out.push_back(ToLower(text.substr(start, i - start)));
-  }
+  ForEachWord(text, [&out](std::string_view word) {
+    out.push_back(ToLower(word));
+  });
   return out;
 }
 

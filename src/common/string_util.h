@@ -1,6 +1,7 @@
 #ifndef XYMON_COMMON_STRING_UTIL_H_
 #define XYMON_COMMON_STRING_UTIL_H_
 
+#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,8 +30,24 @@ std::string ToLower(std::string_view s);
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// True for ASCII letters, digits, '_', '-', '.': the word characters the
-/// alerters index.
-bool IsWordChar(char c);
+/// alerters index. Inline: the XML alerter asks once per byte of text.
+inline bool IsWordChar(char c) {
+  unsigned char u = static_cast<unsigned char>(c);
+  return isalnum(u) || c == '_' || c == '-' || c == '.';
+}
+
+/// Calls `fn` with every word of `text` (a maximal run of word characters)
+/// as a view into `text`, not lower-cased.
+template <typename Fn>
+void ForEachWord(std::string_view text, Fn&& fn) {
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && !IsWordChar(text[i])) ++i;
+    size_t start = i;
+    while (i < text.size() && IsWordChar(text[i])) ++i;
+    if (i > start) fn(text.substr(start, i - start));
+  }
+}
 
 /// Tokenizes text into lowercase words (maximal runs of word characters).
 /// This is the shared notion of "word" between the XML/HTML alerters and the

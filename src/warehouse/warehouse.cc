@@ -325,12 +325,12 @@ IngestResult Warehouse::Ingest(const FetchedContent& page, Timestamp now,
   entry.meta.is_xml = is_xml;
 
   if (is_xml && entry.has_current) {
-    // Version: current becomes previous, diff propagates XIDs into the new
-    // version.
-    entry.previous = std::move(entry.current);
-    entry.has_previous = true;
+    // Version: the current DOM retires into the result, the diff propagates
+    // XIDs into the new version (reusing the retired side's kept hashes).
+    out.retired = std::make_unique<xml::Document>(std::move(entry.current));
+    out.previous = out.retired.get();
     entry.current = std::move(parsed).value();
-    out.diff = xmldiff::Diff(*entry.previous.root, entry.current.root.get(),
+    out.diff = xmldiff::Diff(*out.retired->root, entry.current.root.get(),
                              &entry.xids);
     if (entry.versions != nullptr) {
       (void)entry.versions->Push(out.diff.delta.Clone(), now);
@@ -357,9 +357,10 @@ IngestResult Warehouse::Ingest(const FetchedContent& page, Timestamp now,
       }
     });
   } else {
-    // Not parseable as XML: keep it signature-only (like HTML pages).
+    // Not parseable as XML: keep it signature-only (like HTML pages), and
+    // release the last DOM.
     entry.has_current = false;
-    entry.has_previous = false;
+    entry.current = xml::Document();
   }
 
   if (classifier_ != nullptr) {
@@ -371,7 +372,6 @@ IngestResult Warehouse::Ingest(const FetchedContent& page, Timestamp now,
   PersistCounters();
   out.meta = entry.meta;
   out.current = entry.has_current ? &entry.current : nullptr;
-  out.previous = entry.has_previous ? &entry.previous : nullptr;
   return out;
 }
 

@@ -28,15 +28,22 @@ struct FetchedContent {
   std::string body;
 };
 
-/// What the warehouse learned from ingesting one fetch. Pointers are owned
-/// by the warehouse and stay valid until the next Ingest of the same URL.
+/// What the warehouse learned from ingesting one fetch. Move-only: when the
+/// fetch replaced an XML version, the result owns that retired version.
 struct IngestResult {
   DocMeta meta;
-  /// Current parsed document; nullptr for non-XML pages.
+  /// Current parsed document, owned by the warehouse: valid until the next
+  /// Ingest of the same URL. nullptr for non-XML pages.
   const xml::Document* current = nullptr;
-  /// Previous version (XML, warehoused); nullptr on first fetch.
+  /// The version this fetch replaced (XML to XML updates only), nullptr
+  /// otherwise. Points into `retired`, so it lives as long as this result.
   const xml::Document* previous = nullptr;
-  /// Element-level changes (kUpdated only); see xmldiff::DiffResult.
+  /// Owner of `previous`. The warehouse keeps one DOM per URL; the version a
+  /// fetch replaces moves here, serves detect and resolve (its deleted
+  /// elements), and is freed with this result.
+  std::unique_ptr<xml::Document> retired;
+  /// Element-level changes; see xmldiff::DiffResult. kDeleted changes point
+  /// into `previous` (or into `current` for MarkDeleted).
   xmldiff::DiffResult diff;
   /// True when a malformed body for a warehoused-XML page was absorbed: the
   /// last good version was kept, nothing changed except last_accessed. The
@@ -87,8 +94,9 @@ class DtdRegistry {
 /// The XML repository + index manager of Figure 1, reduced to what the
 /// monitoring chain needs (the full Xyleme repository, Natix, is out of
 /// scope — DESIGN.md §1):
-///   * stores the current version of every XML page, with persistent XIDs;
-///   * keeps the previous version long enough to diff against;
+///   * stores the current version of every XML page, with persistent XIDs,
+///     and nothing else: one DOM per URL. The version an update replaces is
+///     diffed against and then handed to the IngestResult (DESIGN.md §16);
 ///   * tracks metadata and change status for XML *and* HTML pages (HTML is
 ///     "not warehoused": only its signature is kept, paper §1);
 ///   * assigns DOCIDs and dense DTDIDs.
@@ -100,10 +108,9 @@ class Warehouse : public DocumentSource {
   /// Makes the repository durable (the paper's warehouse — Natix — is a
   /// persistent store): current versions, metadata, DOCID/DTDID counters
   /// and XID allocators are written through to `path` and recovered by the
-  /// next Open. The *previous* version is not retained across restarts
-  /// (the first post-restart fetch of a changed page diffs against the
-  /// recovered current version). Call before the first Ingest. `options`
-  /// tunes durability and supplies the Env (see LogStore::Options).
+  /// next Open (the first post-restart fetch of a changed page diffs
+  /// against the recovered current version). Call before the first Ingest.
+  /// `options` tunes durability and supplies the Env (see LogStore::Options).
   Status AttachStorage(const std::string& path,
                        const storage::LogStore::Options& options = {});
 
@@ -126,7 +133,7 @@ class Warehouse : public DocumentSource {
 
   /// Retains up to `max_deltas` historical versions per XML document
   /// (snapshot + deltas, paper [17]). Off by default — the monitoring chain
-  /// only needs the previous version; versioning serves GetVersion /
+  /// only needs the version it diffs against; versioning serves GetVersion /
   /// change-inspection use cases. Call before the first Ingest.
   void EnableVersioning(size_t max_deltas = 16) {
     versioning_ = true;
@@ -204,9 +211,7 @@ class Warehouse : public DocumentSource {
   struct Entry {
     DocMeta meta;
     bool has_current = false;
-    bool has_previous = false;
     xml::Document current;
-    xml::Document previous;
     xmldiff::XidAllocator xids;
     std::unique_ptr<VersionChain> versions;
     uint32_t parse_failures = 0;  // consecutive malformed bodies absorbed

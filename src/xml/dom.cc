@@ -5,6 +5,7 @@
 namespace xymon::xml {
 
 void Node::SetAttribute(std::string_view key, std::string_view value) {
+  InvalidateHash();
   for (auto& [k, v] : attributes_) {
     if (k == key) {
       v = std::string(value);
@@ -22,6 +23,7 @@ const std::string* Node::GetAttribute(std::string_view key) const {
 }
 
 Node* Node::AddChild(std::unique_ptr<Node> child) {
+  InvalidateHash();
   child->parent_ = this;
   children_.push_back(std::move(child));
   return children_.back().get();
@@ -29,12 +31,14 @@ Node* Node::AddChild(std::unique_ptr<Node> child) {
 
 Node* Node::InsertChild(size_t index, std::unique_ptr<Node> child) {
   if (index > children_.size()) index = children_.size();
+  InvalidateHash();
   child->parent_ = this;
   auto it = children_.insert(children_.begin() + index, std::move(child));
   return it->get();
 }
 
 std::unique_ptr<Node> Node::RemoveChild(size_t index) {
+  InvalidateHash();
   std::unique_ptr<Node> out = std::move(children_[index]);
   children_.erase(children_.begin() + index);
   out->parent_ = nullptr;
@@ -110,6 +114,9 @@ std::unique_ptr<Node> Node::Clone() const {
   n->xid_ = xid_;
   n->attributes_ = attributes_;
   for (const auto& c : children_) n->AddChild(c->Clone());
+  // A clone is equal content, so it shares the kept hash.
+  n->hash_ = hash_;
+  n->hash_valid_ = hash_valid_;
   return n;
 }
 
@@ -131,6 +138,7 @@ bool Node::EqualsIgnoringXids(const Node& other) const {
 }
 
 uint64_t Node::SubtreeHash() const {
+  if (hash_valid_) return hash_;
   uint64_t h = Fnv1a(name_);
   h = HashCombine(h, static_cast<uint64_t>(type_));
   h = HashCombine(h, Fnv1a(text_));
@@ -141,6 +149,8 @@ uint64_t Node::SubtreeHash() const {
   for (const auto& c : children_) {
     h = HashCombine(h, c->SubtreeHash());
   }
+  hash_ = h;
+  hash_valid_ = true;
   return h;
 }
 

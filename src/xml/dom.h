@@ -22,6 +22,10 @@ enum class NodeType {
 /// strict hierarchy (no sharing). `xid` is the persistent element identifier
 /// used by the diff/versioning substrate (see src/xmldiff/xid.h); 0 means
 /// "not yet assigned".
+///
+/// Not thread-safe, not even for const use: SubtreeHash() fills a cache
+/// from a const method. A warehoused document is diffed only by the shard
+/// that owns its URL, so one thread at a time hashes it.
 class Node {
  public:
   explicit Node(NodeType type) : type_(type) {}
@@ -51,11 +55,17 @@ class Node {
 
   /// Tag name for elements, target for processing instructions.
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
+  void set_name(std::string name) {
+    name_ = std::move(name);
+    InvalidateHash();
+  }
 
   /// Character data for text/comment/PI nodes.
   const std::string& text() const { return text_; }
-  void set_text(std::string text) { text_ = std::move(text); }
+  void set_text(std::string text) {
+    text_ = std::move(text);
+    InvalidateHash();
+  }
 
   Node* parent() const { return parent_; }
 
@@ -74,6 +84,7 @@ class Node {
   void ReplaceAttributes(
       std::vector<std::pair<std::string, std::string>> attributes) {
     attributes_ = std::move(attributes);
+    InvalidateHash();
   }
 
   // -- Children -------------------------------------------------------------
@@ -127,15 +138,30 @@ class Node {
   /// NOT compared — two documents can be equal with different identities).
   bool EqualsIgnoringXids(const Node& other) const;
 
-  /// Order-sensitive content hash of the subtree, used for signatures and by
-  /// the diff's bottom-up matching phase.
+  /// Order-sensitive content hash of the subtree, used by the diff's
+  /// anchoring pass. Computed once and kept in the node: every mutator
+  /// (set_name, set_text, SetAttribute, ReplaceAttributes, AddChild,
+  /// InsertChild, RemoveChild) drops the kept hash of the node and of its
+  /// ancestors, so a stored version is hashed once however often it is
+  /// diffed. Invariant: a node with a kept hash has kept hashes throughout
+  /// its subtree.
   uint64_t SubtreeHash() const;
 
  private:
+  /// Drops the kept hash of this node and its ancestors. Stops at the first
+  /// node without one: by the invariant, its ancestors have none either.
+  void InvalidateHash() {
+    for (Node* n = this; n != nullptr && n->hash_valid_; n = n->parent_) {
+      n->hash_valid_ = false;
+    }
+  }
+
   NodeType type_;
+  mutable bool hash_valid_ = false;  // beside type_: fills its padding
   std::string name_;
   std::string text_;
   uint64_t xid_ = 0;
+  mutable uint64_t hash_ = 0;  // meaningful while hash_valid_
   Node* parent_ = nullptr;
   std::vector<std::pair<std::string, std::string>> attributes_;
   std::vector<std::unique_ptr<Node>> children_;

@@ -1,5 +1,6 @@
 #include "src/xml/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 
@@ -50,18 +51,24 @@ class ParserImpl {
     return pos_ + off < input_.size() ? input_[pos_ + off] : '\0';
   }
 
-  void Advance() {
-    if (input_[pos_] == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    ++pos_;
+  void Advance() { ++pos_; }
+
+  void AdvanceN(size_t n) { pos_ = std::min(pos_ + n, input_.size()); }
+
+  /// Offset of the first `a` or `b` at or after the current position, or
+  /// the end of the input.
+  size_t FindEither(char a, char b) const {
+    size_t at = pos_;
+    while (at < input_.size() && input_[at] != a && input_[at] != b) ++at;
+    return at;
   }
 
-  void AdvanceN(size_t n) {
-    for (size_t i = 0; i < n && !Eof(); ++i) Advance();
+  /// Moves just past the first `terminator` at or after `from`, or to the
+  /// end of the input if there is none.
+  void SkipPast(std::string_view terminator, size_t from) {
+    size_t at = input_.find(terminator, std::min(from, input_.size()));
+    pos_ = at == std::string_view::npos ? input_.size()
+                                        : at + terminator.size();
   }
 
   bool Consume(std::string_view lit) {
@@ -74,9 +81,18 @@ class ParserImpl {
     while (!Eof() && isspace(static_cast<unsigned char>(Peek()))) Advance();
   }
 
+  /// Positions are 1-based line:column, a column being one byte; they are
+  /// derived from the offset only when an error is reported.
   Status Err(std::string msg) const {
-    return Status::ParseError(msg + " at " + std::to_string(line_) + ":" +
-                              std::to_string(col_));
+    std::string_view before = input_.substr(0, pos_);
+    size_t line = 1 + static_cast<size_t>(
+                          std::count(before.begin(), before.end(), '\n'));
+    size_t last_newline = before.rfind('\n');
+    size_t col = last_newline == std::string_view::npos
+                     ? pos_ + 1
+                     : pos_ - last_newline;
+    return Status::ParseError(msg + " at " + std::to_string(line) + ":" +
+                              std::to_string(col));
   }
 
   // -- Productions ------------------------------------------------------------
@@ -86,7 +102,7 @@ class ParserImpl {
     // XML declaration is handled by SkipMisc (it looks like a PI).
     if (Consume("<!DOCTYPE")) {
       SkipWhitespace();
-      doc->doctype_name = ParseName();
+      doc->doctype_name = std::string(ScanName());
       if (doc->doctype_name.empty()) return Err("expected DOCTYPE name");
       SkipWhitespace();
       if (Consume("SYSTEM")) {
@@ -134,42 +150,34 @@ class ParserImpl {
     }
   }
 
-  void SkipComment() {
-    AdvanceN(4);  // "<!--"
-    while (!Eof() && input_.substr(pos_, 3) != "-->") Advance();
-    AdvanceN(3);
-  }
+  void SkipComment() { SkipPast("-->", pos_ + 4); }  // after "<!--"
 
-  void SkipPi() {
-    AdvanceN(2);  // "<?"
-    while (!Eof() && input_.substr(pos_, 2) != "?>") Advance();
-    AdvanceN(2);
-  }
+  void SkipPi() { SkipPast("?>", pos_ + 2); }  // after "<?"
 
-  std::string ParseName() {
-    if (Eof() || !IsNameStartChar(Peek())) return "";
+  /// The name at the current position ("" if none), as a view of the input.
+  std::string_view ScanName() {
+    if (Eof() || !IsNameStartChar(Peek())) return {};
     size_t start = pos_;
     Advance();
     while (!Eof() && IsNameChar(Peek())) Advance();
-    return std::string(input_.substr(start, pos_ - start));
+    return input_.substr(start, pos_ - start);
   }
 
   Result<std::string> ParseQuoted() {
     if (Eof() || (Peek() != '"' && Peek() != '\'')) {
       return Err("expected quoted literal");
     }
-    char q = Peek();
+    const char quote = Peek();
     Advance();
     std::string out;
-    while (!Eof() && Peek() != q) {
-      if (Peek() == '&') {
-        auto ent = ParseEntity();
-        if (!ent.ok()) return ent.status();
-        out += std::move(ent).value();
-      } else {
-        out += Peek();
-        Advance();
-      }
+    while (true) {
+      size_t stop = FindEither(quote, '&');
+      out.append(input_.substr(pos_, stop - pos_));
+      pos_ = stop;
+      if (Eof() || Peek() == quote) break;
+      auto ent = ParseEntity();
+      if (!ent.ok()) return ent.status();
+      out += std::move(ent).value();
     }
     if (Eof()) return Err("unterminated literal");
     Advance();  // closing quote
@@ -250,16 +258,16 @@ class ParserImpl {
 
   Result<std::unique_ptr<Node>> ParseElementInner() {
     Advance();  // '<'
-    std::string tag = ParseName();
+    auto node = Node::Element(std::string(ScanName()));
+    const std::string& tag = node->name();
     if (tag.empty()) return Err("expected element name");
-    auto node = Node::Element(tag);
 
     // Attributes.
     while (true) {
       SkipWhitespace();
       if (Eof()) return Err("unterminated start tag <" + tag);
       if (Peek() == '>' || Peek() == '/') break;
-      std::string key = ParseName();
+      std::string_view key = ScanName();
       if (key.empty()) return Err("expected attribute name in <" + tag + ">");
       SkipWhitespace();
       if (Eof() || Peek() != '=') return Err("expected '=' after attribute");
@@ -268,7 +276,7 @@ class ParserImpl {
       auto val = ParseQuoted();
       if (!val.ok()) return val.status();
       if (node->GetAttribute(key) != nullptr) {
-        return Err("duplicate attribute '" + key + "'");
+        return Err("duplicate attribute '" + std::string(key) + "'");
       }
       node->SetAttribute(key, *val);
     }
@@ -281,9 +289,10 @@ class ParserImpl {
     }
     Advance();  // '>'
 
-    // Content. Whitespace-only runs between markup are ignorable (pretty-
-    // printing indentation); dropping them makes Parse∘Serialize a fixpoint
-    // and keeps diffs free of formatting noise (see parser.h).
+    // Content, scanned in runs up to the next '<' or '&'. Whitespace-only
+    // runs between markup are ignorable (pretty-printing indentation);
+    // dropping them makes Parse∘Serialize a fixpoint and keeps diffs free of
+    // formatting noise (see parser.h).
     std::string text;
     auto flush_text = [&] {
       bool all_space = true;
@@ -299,6 +308,9 @@ class ParserImpl {
       text.clear();
     };
     while (true) {
+      size_t stop = FindEither('<', '&');
+      text.append(input_.substr(pos_, stop - pos_));
+      pos_ = stop;
       if (Eof()) return Err("unexpected end of input inside <" + tag + ">");
       if (Peek() == '<') {
         if (input_.substr(pos_, 4) == "<!--") {
@@ -306,10 +318,10 @@ class ParserImpl {
           SkipComment();
         } else if (input_.substr(pos_, 9) == "<![CDATA[") {
           AdvanceN(9);
-          while (!Eof() && input_.substr(pos_, 3) != "]]>") {
-            text += Peek();
-            Advance();
-          }
+          size_t end = input_.find("]]>", pos_);
+          if (end == std::string_view::npos) end = input_.size();
+          text.append(input_.substr(pos_, end - pos_));
+          pos_ = end;
           if (Eof()) return Err("unterminated CDATA section");
           AdvanceN(3);
         } else if (input_.substr(pos_, 2) == "<?") {
@@ -318,9 +330,10 @@ class ParserImpl {
         } else if (PeekAt(1) == '/') {
           flush_text();
           AdvanceN(2);
-          std::string end = ParseName();
+          std::string_view end = ScanName();
           if (end != tag) {
-            return Err("mismatched end tag </" + end + "> for <" + tag + ">");
+            return Err("mismatched end tag </" + std::string(end) +
+                       "> for <" + tag + ">");
           }
           SkipWhitespace();
           if (Eof() || Peek() != '>') return Err("expected '>' in end tag");
@@ -332,13 +345,10 @@ class ParserImpl {
           if (!child.ok()) return child.status();
           node->AddChild(std::move(child).value());
         }
-      } else if (Peek() == '&') {
+      } else {  // '&'
         auto ent = ParseEntity();
         if (!ent.ok()) return ent.status();
         text += std::move(ent).value();
-      } else {
-        text += Peek();
-        Advance();
       }
     }
   }
@@ -347,8 +357,6 @@ class ParserImpl {
   ParseOptions options_;
   size_t pos_ = 0;
   size_t depth_ = 0;
-  int line_ = 1;
-  int col_ = 1;
 };
 
 }  // namespace

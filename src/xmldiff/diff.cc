@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "src/xmldiff/lcs.h"
 
 namespace xymon::xmldiff {
 namespace {
@@ -11,40 +15,17 @@ namespace {
 using xml::Node;
 using xml::NodeType;
 
-/// Key used to decide whether two child nodes are "the same kind": exact
-/// subtree hash for anchors, (type, tag) compatibility for gap pairing.
-struct ChildKey {
-  NodeType type;
-  uint64_t hash;
-};
-
-/// Longest common subsequence over equal keys; returns monotone index pairs.
-template <typename Eq>
-std::vector<std::pair<size_t, size_t>> Lcs(size_t n_old, size_t n_new,
-                                           const Eq& eq) {
-  // Standard DP; child lists are short so O(n_old * n_new) is fine.
-  std::vector<std::vector<uint32_t>> dp(n_old + 1,
-                                        std::vector<uint32_t>(n_new + 1, 0));
-  for (size_t i = n_old; i-- > 0;) {
-    for (size_t j = n_new; j-- > 0;) {
-      dp[i][j] = eq(i, j) ? dp[i + 1][j + 1] + 1
-                          : std::max(dp[i + 1][j], dp[i][j + 1]);
-    }
+/// Gives equal keys equal ids, counting up from `first_id` in key order:
+/// (*ids)[pos] for every (key, pos) of `keyed`, which ends up sorted.
+template <typename Key>
+void AssignDenseIds(std::vector<std::pair<Key, uint32_t>>* keyed,
+                    uint32_t first_id, std::vector<uint32_t>* ids) {
+  std::sort(keyed->begin(), keyed->end());
+  uint32_t id = first_id;
+  for (size_t k = 0; k < keyed->size(); ++k) {
+    if (k > 0 && (*keyed)[k].first != (*keyed)[k - 1].first) ++id;
+    (*ids)[(*keyed)[k].second] = id;
   }
-  std::vector<std::pair<size_t, size_t>> pairs;
-  size_t i = 0, j = 0;
-  while (i < n_old && j < n_new) {
-    if (eq(i, j)) {
-      pairs.emplace_back(i, j);
-      ++i;
-      ++j;
-    } else if (dp[i + 1][j] >= dp[i][j + 1]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return pairs;
 }
 
 class Differ {
@@ -100,27 +81,52 @@ class Differ {
     });
   }
 
+  /// Anchor-pass ids of o's children followed by n's: equal (type, subtree
+  /// hash) gives an equal id.
+  void AnchorIds(const Node& o, const Node& n, std::vector<uint32_t>* ids) {
+    const size_t n_old = o.child_count();
+    ids->resize(n_old + n.child_count());
+    anchor_keys_.clear();
+    for (size_t i = 0; i < ids->size(); ++i) {
+      const Node* c = i < n_old ? o.child(i) : n.child(i - n_old);
+      anchor_keys_.push_back(
+          {{c->SubtreeHash(), c->type()}, static_cast<uint32_t>(i)});
+    }
+    AssignDenseIds(&anchor_keys_, 0, ids);
+  }
+
+  /// Gap-pass ids of o's children `go` followed by n's children `gn`:
+  /// elements pair by tag, text with text, comments and PIs never.
+  void GapIds(const Node& o, const Node& n, const std::vector<size_t>& go,
+              const std::vector<size_t>& gn, std::vector<uint32_t>* ids) {
+    ids->assign(go.size() + gn.size(), kNoPairKey);
+    tag_keys_.clear();
+    for (size_t k = 0; k < ids->size(); ++k) {
+      const Node* c =
+          k < go.size() ? o.child(go[k]) : n.child(gn[k - go.size()]);
+      if (c->is_element()) {
+        tag_keys_.emplace_back(c->name(), static_cast<uint32_t>(k));
+      } else if (c->is_text()) {
+        (*ids)[k] = 0;
+      }
+    }
+    AssignDenseIds(&tag_keys_, 1, ids);
+  }
+
   /// Diffs the child lists of a matched element pair. Returns true if the
   /// element's direct content changed (a child inserted/deleted or a direct
   /// text child updated) — that is what makes the element itself "updated"
   /// for the subscription language.
   bool DiffChildren(const Node& o, Node* n) {
-    size_t n_old = o.child_count();
-    size_t n_new = n->child_count();
-
-    std::vector<ChildKey> old_keys(n_old), new_keys(n_new);
-    for (size_t i = 0; i < n_old; ++i) {
-      old_keys[i] = {o.child(i)->type(), o.child(i)->SubtreeHash()};
-    }
-    for (size_t j = 0; j < n_new; ++j) {
-      new_keys[j] = {n->child(j)->type(), n->child(j)->SubtreeHash()};
-    }
+    const size_t n_old = o.child_count();
+    const size_t n_new = n->child_count();
 
     // Pass 1: anchor identical subtrees (unchanged content).
-    auto anchors = Lcs(n_old, n_new, [&](size_t i, size_t j) {
-      return old_keys[i].type == new_keys[j].type &&
-             old_keys[i].hash == new_keys[j].hash;
-    });
+    std::vector<uint32_t> ids;
+    AnchorIds(o, *n, &ids);
+    const std::span<const uint32_t> old_ids(ids.data(), n_old);
+    const std::span<const uint32_t> new_ids(ids.data() + n_old, n_new);
+    auto anchors = Lcs(old_ids, new_ids);
 
     bool direct_change = false;
 
@@ -134,22 +140,21 @@ class Differ {
     // Pass 2: inside each gap between anchors, pair nodes of compatible kind
     // in order (same tag for elements, text with text) and recurse/update.
     size_t prev_i = 0, prev_j = 0;
+    std::vector<size_t> go, gn;
+    std::vector<uint32_t> gap_ids;
     auto process_gap = [&](size_t end_i, size_t end_j) {
-      std::vector<size_t> go, gn;
+      go.clear();
+      gn.clear();
       for (size_t i = prev_i; i < end_i; ++i) {
         if (!old_matched[i]) go.push_back(i);
       }
       for (size_t j = prev_j; j < end_j; ++j) {
         if (!new_matched[j]) gn.push_back(j);
       }
-      auto compatible = [&](size_t a, size_t b) {
-        const Node* oc = o.child(go[a]);
-        const Node* nc = n->child(gn[b]);
-        if (oc->type() != nc->type()) return false;
-        if (oc->is_element()) return oc->name() == nc->name();
-        return oc->type() == NodeType::kText;
-      };
-      auto pairs = Lcs(go.size(), gn.size(), compatible);
+      if (go.empty() || gn.empty()) return;
+      GapIds(o, *n, go, gn, &gap_ids);
+      auto pairs = Lcs(std::span<const uint32_t>(gap_ids).first(go.size()),
+                       std::span<const uint32_t>(gap_ids).subspan(go.size()));
       for (auto [a, b] : pairs) {
         const Node* oc = o.child(go[a]);
         Node* nc = n->child(gn[b]);
@@ -185,11 +190,7 @@ class Differ {
     for (size_t j = 0; j < n_new; ++j) {
       if (new_matched[j]) continue;
       for (size_t i = 0; i < n_old; ++i) {
-        if (old_matched[i]) continue;
-        if (old_keys[i].type != new_keys[j].type ||
-            old_keys[i].hash != new_keys[j].hash) {
-          continue;
-        }
+        if (old_matched[i] || old_ids[i] != new_ids[j]) continue;
         old_matched[i] = true;
         new_matched[j] = true;
         CopyXids(*o.child(i), n->child(j));
@@ -231,6 +232,10 @@ class Differ {
 
   XidAllocator* alloc_;
   DiffResult* out_;
+  // Sort scratch of AnchorIds and GapIds, reused across calls.
+  std::vector<std::pair<std::pair<uint64_t, NodeType>, uint32_t>>
+      anchor_keys_;
+  std::vector<std::pair<std::string_view, uint32_t>> tag_keys_;
 };
 
 }  // namespace

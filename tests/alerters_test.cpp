@@ -426,6 +426,35 @@ TEST_F(XmlAlerterTest, UnregisterStopsDetection) {
   EXPECT_EQ(alerter_.condition_count(), 0u);
 }
 
+// A word's `self contains` code and its element `contains` conditions share
+// one word-table entry; unregistering one kind must leave the other firing.
+TEST_F(XmlAlerterTest, UnregisteringSelfContainsKeepsElementContains) {
+  Condition self;
+  self.kind = ConditionKind::kSelfContains;
+  self.str_value = "Camera";
+  Condition product = ElementCond(std::nullopt, "Product", "camera");
+  ASSERT_TRUE(alerter_.Register(1, self).ok());
+  ASSERT_TRUE(alerter_.Register(2, product).ok());
+  const std::string doc = "<c><Product>a CAMERA</Product></c>";
+  EXPECT_EQ(DetectOn("http://1", doc), (std::vector<AtomicEvent>{1, 2}));
+  ASSERT_TRUE(alerter_.Unregister(1, self).ok());
+  EXPECT_EQ(DetectOn("http://2", doc), (std::vector<AtomicEvent>{2}));
+}
+
+TEST_F(XmlAlerterTest, UnregisteringElementContainsKeepsSelfContains) {
+  Condition self;
+  self.kind = ConditionKind::kSelfContains;
+  self.str_value = "camera";
+  Condition product = ElementCond(std::nullopt, "Product", "Camera", true);
+  ASSERT_TRUE(alerter_.Register(1, self).ok());
+  ASSERT_TRUE(alerter_.Register(2, product).ok());
+  const std::string doc = "<c><Product>camera</Product></c>";
+  EXPECT_EQ(DetectOn("http://1", doc), (std::vector<AtomicEvent>{1, 2}));
+  ASSERT_TRUE(alerter_.Unregister(2, product).ok());
+  EXPECT_EQ(DetectOn("http://2", doc), (std::vector<AtomicEvent>{1}));
+  EXPECT_EQ(alerter_.condition_count(), 1u);
+}
+
 TEST_F(XmlAlerterTest, RejectsNonXmlConditions) {
   Condition c;
   c.kind = ConditionKind::kUrlEquals;

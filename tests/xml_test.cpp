@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/xml/codec.h"
 #include "src/xml/dom.h"
 #include "src/xml/parser.h"
 #include "src/xml/serializer.h"
+#include "src/xmldiff/diff.h"
 
 namespace xymon::xml {
 namespace {
@@ -124,6 +128,124 @@ TEST(XmlParserTest, ErrorPositionsAreReported) {
   EXPECT_NE(st.message().find("2:"), std::string::npos) << st.ToString();
 }
 
+// Exact error texts, position included. Pinned so that a rewrite of the
+// scanner keeps every message and every line:col.
+TEST(XmlParserTest, ErrorTextsArePinned) {
+  struct Case {
+    std::string input;
+    std::string error;
+  };
+  const Case kCases[] = {
+      {"", "ParseError: expected root element at 1:1"},
+      {"plain text", "ParseError: expected '<' at document root at 1:1"},
+      {"<a>\n<b x=></b></a>", "ParseError: expected quoted literal at 2:6"},
+      {"<a><b></a></b>", "ParseError: mismatched end tag </a> for <b> at 1:10"},
+      {"<r>\n  <p>\n    &bogus; here\n  </p>\n</r>",
+       "ParseError: unknown entity '&bogus;' at 3:12"},
+      {"<a>&#xZZ;</a>", "ParseError: bad character reference at 1:10"},
+      {"<a>\n&#;</a>", "ParseError: empty character reference at 2:4"},
+      {"<a>&#1114112;</a>",
+       "ParseError: character reference out of range at 1:14"},
+      {"<a>&amp</a>", "ParseError: unterminated entity reference at 1:12"},
+      {"<a attr=\"x\ny", "ParseError: unterminated literal at 2:2"},
+      {"<a x=\"1\"\n   x='2'/>", "ParseError: duplicate attribute 'x' at 2:9"},
+      {"<a 1=\"x\"/>", "ParseError: expected attribute name in <a> at 1:4"},
+      {"<a b></a>", "ParseError: expected '=' after attribute at 1:5"},
+      {"<a / >", "ParseError: expected '>' after '/' at 1:5"},
+      {"<a\n", "ParseError: unterminated start tag <a at 2:1"},
+      {"<a><b>text\n<!-- c -->",
+       "ParseError: unexpected end of input inside <b> at 2:11"},
+      {"<a><![CDATA[x\n]]</a>",
+       "ParseError: unterminated CDATA section at 2:7"},
+      {"<a></a\n", "ParseError: expected '>' in end tag at 2:1"},
+      {"<a/>\n<!-- tail -->junk",
+       "ParseError: trailing content after root element at 2:14"},
+      {"<!DOCTYPE>", "ParseError: expected DOCTYPE name at 1:10"},
+      {"<!DOCTYPE a SYSTEM \"x.dtd\"\n<a/>",
+       "ParseError: unterminated DOCTYPE at 2:1"},
+      {"<!DOCTYPE a SYSTEM x.dtd><a/>",
+       "ParseError: expected quoted literal at 1:20"},
+      {"<?xml version=\"1.0\"?>\n<!-- open",
+       "ParseError: expected root element at 2:10"},
+      {"<\xC3\xA9l\xC3\xA9ment>\n\t<?pi x?></x>",
+       "ParseError: mismatched end tag </x> for <\xC3\xA9l\xC3\xA9ment> "
+       "at 2:13"},
+  };
+  for (const Case& c : kCases) {
+    EXPECT_EQ(Parse(c.input).status().ToString(), c.error)
+        << "input: " << c.input;
+  }
+  ParseOptions shallow;
+  shallow.max_depth = 2;
+  EXPECT_EQ(Parse("<a><b><c/></b></a>", shallow).status().ToString(),
+            "ResourceExhausted: element nesting exceeds the depth limit (2)");
+  ParseOptions small;
+  small.max_input_bytes = 4;
+  EXPECT_EQ(Parse("<abc/>", small).status().ToString(),
+            "ResourceExhausted: document exceeds the input limit (6 > 4 "
+            "bytes)");
+}
+
+// Seeded mutation loop over a catalog page: every outcome (the encoded
+// document, or the error text) feeds one digest that is pinned, so a
+// scanner rewrite must accept, reject and report exactly as before. Each
+// input gets 1-3 edits: a bit flip, a truncation, or an inserted markup
+// character.
+TEST(XmlParserTest, MutatedCatalogOutcomesArePinned) {
+  const std::string page =
+      "<?xml version=\"1.0\"?>\n"
+      "<!DOCTYPE catalog SYSTEM \"http://shop.example/catalog.dtd\">\n"
+      "<!-- weekly catalog -->\n"
+      "<catalog shop=\"example\" updated='2001-05-21'>\n"
+      "  <Product id=\"1\" kind=\"camera\">\n"
+      "    <name>Digital camera &amp; lens</name>\n"
+      "    <price currency=\"EUR\">199.99</price>\n"
+      "    <desc>Compact, 3&#215; zoom &#x2014; "
+      "<![CDATA[<b>new</b> & improved]]></desc>\n"
+      "  </Product>\n"
+      "  <?render inline?>\n"
+      "  <Product id=\"2\">\n"
+      "    <name>TV set</name><price>&lt;300</price>\n"
+      "    <stock/>\n"
+      "  </Product>\n"
+      "  <Product id=\"3\" note=\"&quot;sale&quot;\"><name>Radio</name>\n"
+      "    <price>49</price></Product>\n"
+      "</catalog>\n";
+  ASSERT_TRUE(Parse(page).ok());
+  static constexpr std::string_view kInserted = "<>&/\"=;![]-?\n";
+  Rng rng(20010521);
+  uint64_t digest = kFnvOffset;
+  int accepted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string input = page;
+    int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits; ++e) {
+      switch (rng.Uniform(3)) {
+        case 0:
+          if (!input.empty()) {
+            input[rng.Uniform(input.size())] ^=
+                static_cast<char>(1u << rng.Uniform(8));
+          }
+          break;
+        case 1:
+          input.resize(rng.Uniform(input.size() + 1));
+          break;
+        default:
+          input.insert(rng.Uniform(input.size() + 1), 1,
+                       kInserted[rng.Uniform(kInserted.size())]);
+          break;
+      }
+    }
+    auto doc = Parse(input);
+    std::string outcome =
+        doc.ok() ? "OK " + EncodeDocument(*doc) : doc.status().ToString();
+    if (doc.ok()) ++accepted;
+    digest = HashCombine(digest, Fnv1a(outcome));
+  }
+  EXPECT_EQ(accepted, 480);
+  EXPECT_EQ(digest, 0x8fe98ca97978b9dfull);
+}
+
 TEST(XmlParserTest, DeepNesting) {
   std::string text;
   constexpr int kDepth = 200;
@@ -210,6 +332,57 @@ TEST(DomTest, SubtreeHashSensitiveToContent) {
   EXPECT_NE(a.root->SubtreeHash(), b.root->SubtreeHash());
   EXPECT_NE(a.root->SubtreeHash(), c.root->SubtreeHash());
   EXPECT_EQ(a.root->SubtreeHash(), MustParse("<a><b>x</b></a>").root->SubtreeHash());
+}
+
+// SubtreeHash() keeps its result in the node. Every mutator must drop the
+// kept hash of the node it changes and of all its ancestors: a stale hash
+// would make the diff anchor changed content as unchanged.
+TEST(DomTest, MutatorsInvalidateKeptHashes) {
+  // <d> is the element three levels below the root, "tail" the text node.
+  const std::string text =
+      "<a><b><c k=\"v\"><d x=\"1\">text<e/></d>tail</c></b><f>u</f></a>";
+  struct Mutation {
+    const char* name;
+    std::function<void(Node* d, Node* tail)> apply;
+  };
+  const Mutation kMutations[] = {
+      {"set_name", [](Node* d, Node*) { d->set_name("renamed"); }},
+      {"set_text", [](Node*, Node* tail) { tail->set_text("changed"); }},
+      {"SetAttribute (update)",
+       [](Node* d, Node*) { d->SetAttribute("x", "2"); }},
+      {"SetAttribute (add)",
+       [](Node* d, Node*) { d->SetAttribute("y", "3"); }},
+      {"ReplaceAttributes",
+       [](Node* d, Node*) { d->ReplaceAttributes({{"z", "9"}}); }},
+      {"AddChild", [](Node* d, Node*) { d->AddChild(Node::Element("g")); }},
+      {"InsertChild",
+       [](Node* d, Node*) { d->InsertChild(0, Node::Element("h")); }},
+      {"RemoveChild", [](Node* d, Node*) { d->RemoveChild(1); }},
+  };
+  for (const Mutation& m : kMutations) {
+    SCOPED_TRACE(m.name);
+    Document original = MustParse(text);
+    xmldiff::XidAllocator xids;
+    xids.AssignAll(original.root.get());
+    const uint64_t before = original.root->SubtreeHash();  // kept everywhere
+    // A clone shares the kept hashes; mutate it three levels down.
+    auto mutated = original.root->Clone();
+    Node* c = mutated->child(0)->child(0);
+    m.apply(c->child(0), c->child(1));
+
+    const std::string serialized = Serialize(*mutated);
+    ASSERT_NE(serialized, text);
+    // Fatal: diffing against a stale hash would walk mismatched trees.
+    ASSERT_EQ(mutated->SubtreeHash(),
+              MustParse(serialized).root->SubtreeHash());
+    ASSERT_NE(mutated->SubtreeHash(), before);
+    ASSERT_EQ(original.root->SubtreeHash(), before);
+
+    xmldiff::DiffResult diff =
+        xmldiff::Diff(*original.root, mutated.get(), &xids);
+    EXPECT_FALSE(diff.delta.empty());
+    EXPECT_FALSE(diff.changes.empty());
+  }
 }
 
 TEST(DomTest, TextContentConcatenatesDescendants) {

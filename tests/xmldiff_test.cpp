@@ -7,6 +7,7 @@
 #include "src/xml/serializer.h"
 #include "src/warehouse/warehouse.h"
 #include "src/xmldiff/diff.h"
+#include "src/xmldiff/lcs.h"
 
 namespace xymon::xmldiff {
 namespace {
@@ -253,6 +254,128 @@ TEST(DiffTest, MovedElementDoesNotAlertAsNew) {
     EXPECT_NE(change.op, ChangeOp::kNew) << change.element->name();
     EXPECT_NE(change.op, ChangeOp::kDeleted) << change.element->name();
   }
+}
+
+// ------------------------------------------------------------------- LCS --
+
+/// The O(n·m) DP table the diff used before the bit-parallel LCS, kept as the
+/// reference: the new LCS must return exactly its pairs.
+std::vector<std::pair<size_t, size_t>> ReferenceLcs(
+    const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
+  auto eq = [&](size_t i, size_t j) {
+    return a[i] == b[j] && a[i] != kNoPairKey;
+  };
+  const size_t n_old = a.size();
+  const size_t n_new = b.size();
+  std::vector<std::vector<uint32_t>> dp(n_old + 1,
+                                        std::vector<uint32_t>(n_new + 1, 0));
+  for (size_t i = n_old; i-- > 0;) {
+    for (size_t j = n_new; j-- > 0;) {
+      dp[i][j] = eq(i, j) ? dp[i + 1][j + 1] + 1
+                          : std::max(dp[i + 1][j], dp[i][j + 1]);
+    }
+  }
+  std::vector<std::pair<size_t, size_t>> pairs;
+  size_t i = 0, j = 0;
+  while (i < n_old && j < n_new) {
+    if (eq(i, j)) {
+      pairs.emplace_back(i, j);
+      ++i;
+      ++j;
+    } else if (dp[i + 1][j] >= dp[i][j + 1]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return pairs;
+}
+
+/// `len` keys over an alphabet of `alphabet` ids; each key is kNoPairKey
+/// with probability `unpaired` (a comment or PI in the gap pass).
+std::vector<uint32_t> RandomKeys(Rng* rng, size_t len, uint32_t alphabet,
+                                 double unpaired) {
+  std::vector<uint32_t> keys(len);
+  for (uint32_t& key : keys) {
+    key = rng->Bernoulli(unpaired)
+              ? kNoPairKey
+              : static_cast<uint32_t>(rng->Uniform(alphabet));
+  }
+  return keys;
+}
+
+/// `keys` after a few random deletions, insertions and replacements, so the
+/// two sides share long runs and often a common prefix.
+std::vector<uint32_t> Edited(std::vector<uint32_t> keys, Rng* rng,
+                             uint32_t alphabet, double unpaired) {
+  size_t edits = rng->Uniform(6);
+  for (size_t e = 0; e < edits; ++e) {
+    uint32_t key = RandomKeys(rng, 1, alphabet, unpaired)[0];
+    size_t at = rng->Uniform(keys.size() + 1);
+    switch (rng->Uniform(3)) {
+      case 0:
+        if (at < keys.size()) keys.erase(keys.begin() + at);
+        break;
+      case 1:
+        keys.insert(keys.begin() + at, key);
+        break;
+      default:
+        if (at < keys.size()) keys[at] = key;
+        break;
+    }
+  }
+  return keys;
+}
+
+void ExpectSameAsReference(const std::vector<uint32_t>& a,
+                           const std::vector<uint32_t>& b) {
+  EXPECT_EQ(Lcs(a, b), ReferenceLcs(a, b))
+      << "n=" << a.size() << " m=" << b.size();
+}
+
+TEST(LcsTest, MatchesTheDpTableAtWordBoundaries) {
+  // Every pair of lengths around one and two 64-bit words, n == m and n != m.
+  const size_t kLengths[] = {0, 1, 2, 63, 64, 65, 127, 128, 129};
+  Rng rng(1901);
+  for (size_t n : kLengths) {
+    for (size_t m : kLengths) {
+      for (uint32_t alphabet : {1u, 2u, 8u}) {
+        ExpectSameAsReference(RandomKeys(&rng, n, alphabet, 0),
+                              RandomKeys(&rng, m, alphabet, 0));
+      }
+    }
+  }
+}
+
+TEST(LcsTest, MatchesTheDpTableOnDuplicatedKeys) {
+  // Alphabets of 1-8 keys make ties in the table common, so the walk's
+  // tie-break is exercised on nearly every call.
+  Rng rng(1902);
+  for (int trial = 0; trial < 600; ++trial) {
+    uint32_t alphabet = 1 + static_cast<uint32_t>(rng.Uniform(8));
+    auto a = RandomKeys(&rng, rng.Uniform(301), alphabet, 0);
+    auto b = rng.Bernoulli(0.5)
+                 ? Edited(a, &rng, alphabet, 0)
+                 : RandomKeys(&rng, rng.Uniform(301), alphabet, 0);
+    ExpectSameAsReference(a, b);
+  }
+}
+
+TEST(LcsTest, UnpairedKeysNeverPair) {
+  // Gap-pass keys: tags and text pair, comments and PIs (kNoPairKey) never,
+  // not even with each other.
+  Rng rng(1903);
+  for (int trial = 0; trial < 300; ++trial) {
+    uint32_t alphabet = 1 + static_cast<uint32_t>(rng.Uniform(4));
+    auto a = RandomKeys(&rng, rng.Uniform(140), alphabet, 0.3);
+    auto b = rng.Bernoulli(0.5)
+                 ? Edited(a, &rng, alphabet, 0.3)
+                 : RandomKeys(&rng, rng.Uniform(140), alphabet, 0.3);
+    ExpectSameAsReference(a, b);
+    for (auto [i, j] : Lcs(a, b)) EXPECT_NE(a[i], kNoPairKey);
+  }
+  const std::vector<uint32_t> comments(70, kNoPairKey);
+  EXPECT_TRUE(Lcs(comments, comments).empty());
 }
 
 // Property: Apply(old, Diff(old, new)) == new over random tree edits.
