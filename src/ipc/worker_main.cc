@@ -120,9 +120,11 @@ class WorkerRuntime {
 
     query_engine_ = query::QueryEngine(&shard_->warehouse);
     manager::SubscriptionManager::Components components{
-        &shard_->mqp,          &shard_->url_alerter, &shard_->xml_alerter,
-        &shard_->html_alerter, &shard_->alert_pipeline,
-        &trigger_engine_,      &reporter_,           &query_engine_,
+        {{&shard_->mqp, &shard_->url_alerter, &shard_->xml_alerter,
+          &shard_->html_alerter, &shard_->alert_pipeline}},
+        &trigger_engine_,
+        &reporter_,
+        &query_engine_,
         &clock_};
     manager_ =
         std::make_unique<manager::SubscriptionManager>(components);

@@ -122,37 +122,33 @@ namespace {
 
 // Registers `condition` under `code` on one replica's alerters.
 Status RegisterOnReplica(mqp::AtomicEvent code, const Condition& condition,
-                         alerters::UrlAlerter* url, alerters::XmlAlerter* xml,
-                         alerters::HtmlAlerter* html,
-                         alerters::AlertPipeline* pipeline) {
+                         const SubscriptionManager::DetectionReplica& r) {
   if (IsUrlAlerterCondition(condition.kind)) {
-    XYMON_RETURN_IF_ERROR(url->Register(code, condition));
+    XYMON_RETURN_IF_ERROR(r.url_alerter->Register(code, condition));
   } else if (condition.kind == ConditionKind::kSelfContains) {
-    XYMON_RETURN_IF_ERROR(xml->Register(code, condition));
-    XYMON_RETURN_IF_ERROR(html->Register(code, condition));
+    XYMON_RETURN_IF_ERROR(r.xml_alerter->Register(code, condition));
+    XYMON_RETURN_IF_ERROR(r.html_alerter->Register(code, condition));
   } else {
-    XYMON_RETURN_IF_ERROR(xml->Register(code, condition));
+    XYMON_RETURN_IF_ERROR(r.xml_alerter->Register(code, condition));
   }
-  if (condition.IsWeak() && pipeline != nullptr) {
-    pipeline->MarkWeak(code);
+  if (condition.IsWeak() && r.pipeline != nullptr) {
+    r.pipeline->MarkWeak(code);
   }
   return Status::OK();
 }
 
 void UnregisterOnReplica(mqp::AtomicEvent code, const Condition& condition,
-                         alerters::UrlAlerter* url, alerters::XmlAlerter* xml,
-                         alerters::HtmlAlerter* html,
-                         alerters::AlertPipeline* pipeline) {
+                         const SubscriptionManager::DetectionReplica& r) {
   if (IsUrlAlerterCondition(condition.kind)) {
-    (void)url->Unregister(code, condition);
+    (void)r.url_alerter->Unregister(code, condition);
   } else if (condition.kind == ConditionKind::kSelfContains) {
-    (void)xml->Unregister(code, condition);
-    (void)html->Unregister(code, condition);
+    (void)r.xml_alerter->Unregister(code, condition);
+    (void)r.html_alerter->Unregister(code, condition);
   } else {
-    (void)xml->Unregister(code, condition);
+    (void)r.xml_alerter->Unregister(code, condition);
   }
-  if (pipeline != nullptr) {
-    pipeline->UnmarkWeak(code);
+  if (r.pipeline != nullptr) {
+    r.pipeline->UnmarkWeak(code);
   }
 }
 
@@ -160,24 +156,13 @@ void UnregisterOnReplica(mqp::AtomicEvent code, const Condition& condition,
 
 Status SubscriptionManager::RegisterCondition(mqp::AtomicEvent code,
                                               const Condition& condition) {
-  // Primary first — it decides success (replicas are clones, so a condition
-  // the primary accepts cannot fail on them for a structural reason).
-  XYMON_RETURN_IF_ERROR(RegisterOnReplica(
-      code, condition, components_.url_alerter, components_.xml_alerter,
-      components_.html_alerter, components_.pipeline));
-  for (size_t i = 0; i < components_.replicas.size(); ++i) {
-    const DetectionReplica& r = components_.replicas[i];
-    Status st = RegisterOnReplica(code, condition, r.url_alerter,
-                                  r.xml_alerter, r.html_alerter, r.pipeline);
+  const std::vector<DetectionReplica>& replicas = components_.replicas;
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    Status st = RegisterOnReplica(code, condition, replicas[i]);
     if (!st.ok()) {
       for (size_t j = 0; j < i; ++j) {
-        const DetectionReplica& rb = components_.replicas[j];
-        UnregisterOnReplica(code, condition, rb.url_alerter, rb.xml_alerter,
-                            rb.html_alerter, rb.pipeline);
+        UnregisterOnReplica(code, condition, replicas[j]);
       }
-      UnregisterOnReplica(code, condition, components_.url_alerter,
-                          components_.xml_alerter, components_.html_alerter,
-                          components_.pipeline);
       return st;
     }
   }
@@ -186,25 +171,18 @@ Status SubscriptionManager::RegisterCondition(mqp::AtomicEvent code,
 
 void SubscriptionManager::UnregisterCondition(mqp::AtomicEvent code,
                                               const Condition& condition) {
-  UnregisterOnReplica(code, condition, components_.url_alerter,
-                      components_.xml_alerter, components_.html_alerter,
-                      components_.pipeline);
   for (const DetectionReplica& r : components_.replicas) {
-    UnregisterOnReplica(code, condition, r.url_alerter, r.xml_alerter,
-                        r.html_alerter, r.pipeline);
+    UnregisterOnReplica(code, condition, r);
   }
 }
 
 Status SubscriptionManager::RegisterComplex(mqp::ComplexEventId id,
                                             const mqp::EventSet& events) {
-  XYMON_RETURN_IF_ERROR(components_.mqp->Register(id, events));
-  for (size_t i = 0; i < components_.replicas.size(); ++i) {
-    Status st = components_.replicas[i].mqp->Register(id, events);
+  const std::vector<DetectionReplica>& replicas = components_.replicas;
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    Status st = replicas[i].mqp->Register(id, events);
     if (!st.ok()) {
-      for (size_t j = 0; j < i; ++j) {
-        (void)components_.replicas[j].mqp->Unregister(id);
-      }
-      (void)components_.mqp->Unregister(id);
+      for (size_t j = 0; j < i; ++j) (void)replicas[j].mqp->Unregister(id);
       return st;
     }
   }
@@ -213,7 +191,6 @@ Status SubscriptionManager::RegisterComplex(mqp::ComplexEventId id,
 }
 
 void SubscriptionManager::UnregisterComplex(mqp::ComplexEventId id) {
-  (void)components_.mqp->Unregister(id);
   for (const DetectionReplica& r : components_.replicas) {
     (void)r.mqp->Unregister(id);
   }
@@ -226,18 +203,11 @@ Status SubscriptionManager::RebindReplica(size_t shard_index,
       replica.xml_alerter == nullptr || replica.html_alerter == nullptr) {
     return Status::InvalidArgument("RebindReplica: incomplete replica");
   }
-  if (shard_index == 0) {
-    components_.mqp = replica.mqp;
-    components_.url_alerter = replica.url_alerter;
-    components_.xml_alerter = replica.xml_alerter;
-    components_.html_alerter = replica.html_alerter;
-    components_.pipeline = replica.pipeline;
-  } else if (shard_index - 1 < components_.replicas.size()) {
-    components_.replicas[shard_index - 1] = replica;
-  } else {
+  if (shard_index >= components_.replicas.size()) {
     return Status::InvalidArgument("RebindReplica: no replica for shard " +
                                    std::to_string(shard_index));
   }
+  components_.replicas[shard_index] = replica;
 
   // Replay every live registration into the fresh structures, in the order
   // they were originally built (codes and complex ids are allocated
@@ -251,9 +221,8 @@ Status SubscriptionManager::RebindReplica(size_t shard_index,
               return a->code < b->code;
             });
   for (const CodeEntry* entry : entries) {
-    XYMON_RETURN_IF_ERROR(RegisterOnReplica(
-        entry->code, entry->condition, replica.url_alerter,
-        replica.xml_alerter, replica.html_alerter, replica.pipeline));
+    XYMON_RETURN_IF_ERROR(
+        RegisterOnReplica(entry->code, entry->condition, replica));
   }
 
   std::vector<std::pair<mqp::ComplexEventId, const mqp::EventSet*>> defs;

@@ -86,21 +86,15 @@ class SubscriptionManager {
   };
 
   struct Components {
-    // The primary detection replica (shard 0 in a sharded pipeline; the
-    // whole system otherwise).
-    mqp::MonitoringQueryProcessor* mqp = nullptr;
-    alerters::UrlAlerter* url_alerter = nullptr;
-    alerters::XmlAlerter* xml_alerter = nullptr;
-    alerters::HtmlAlerter* html_alerter = nullptr;
-    alerters::AlertPipeline* pipeline = nullptr;
+    /// One detection replica per shard, indexed by shard (a single one for
+    /// an unsharded system). Every condition code and complex event is
+    /// registered on each — the caller quiesces the document flow around
+    /// Subscribe/Unsubscribe.
+    std::vector<DetectionReplica> replicas;
     trigger::TriggerEngine* trigger_engine = nullptr;
     reporter::Reporter* reporter = nullptr;
     query::QueryEngine* query_engine = nullptr;
     const Clock* clock = nullptr;
-    /// Additional detection replicas (shards 1..N-1). Every condition code
-    /// and complex event registered on the primary is mirrored onto each —
-    /// the caller quiesces the document flow around Subscribe/Unsubscribe.
-    std::vector<DetectionReplica> replicas;
   };
 
   explicit SubscriptionManager(Components components,
@@ -155,8 +149,8 @@ class SubscriptionManager {
 
   /// Swaps one shard's detection replica for a fresh (empty) one and
   /// replays every live registration into it — the subscription half of a
-  /// pipeline shard restart (DESIGN.md §13). `shard_index` 0 is the primary
-  /// replica, 1..N the mirrors. Replay order is deterministic (condition
+  /// pipeline shard restart (DESIGN.md §13). `shard_index` indexes
+  /// Components::replicas. Replay order is deterministic (condition
   /// codes ascending, then complex events ascending — the order the
   /// structures were originally built in, since codes are allocated
   /// monotonically), so a restarted shard's detection structures match a
@@ -228,8 +222,8 @@ class SubscriptionManager {
                                         const std::string& email,
                                         bool persist,
                                         bool privileged = false);
-  // Fan-out across the primary replica and components_.replicas. The
-  // Register forms roll back the replicas they already reached on failure.
+  // Fan-out across components_.replicas, in shard order. The Register forms
+  // roll back the replicas they already reached on failure.
   Status RegisterCondition(mqp::AtomicEvent code,
                            const alerters::Condition& condition);
   void UnregisterCondition(mqp::AtomicEvent code,

@@ -9,58 +9,40 @@ namespace xymon::system {
 
 namespace {
 
-IngestPipeline::Options PipelineOptions(
-    const XylemeMonitor::Options& options,
-    const warehouse::DomainClassifier* classifier) {
-  IngestPipeline::Options out;
-  out.shards = options.num_shards;
-  out.use_trie_prefixes = options.use_trie_prefixes;
-  out.max_parse_failures_per_url = options.max_parse_failures_per_url;
-  out.classifier = classifier;
-  out.containment = options.fault_containment;
-  out.batch_deadline_ms = options.batch_deadline_ms;
-  out.max_stage_failures_per_url = options.max_stage_failures_per_url;
-  out.queue_high_water_limit = options.queue_high_water_limit;
-  out.health_recovery_batches = options.health_recovery_batches;
-  out.stage_faults = options.stage_faults;
-  out.shard_mode = options.shard_mode;
-  out.worker_binary = options.worker_binary;
-  out.worker_heartbeat_interval_ms = options.worker_heartbeat_interval_ms;
-  out.worker_heartbeat_timeout_ms = options.worker_heartbeat_timeout_ms;
-  out.worker_command_timeout_ms = options.worker_command_timeout_ms;
-  return out;
+manager::SubscriptionManager::DetectionReplica ReplicaOf(PipelineShard& shard) {
+  return {&shard.mqp, &shard.url_alerter, &shard.xml_alerter,
+          &shard.html_alerter, &shard.alert_pipeline};
 }
 
-// Wires the manager to shard 0 as the primary detection replica and shards
-// 1..N-1 as mirrors — every Register/Unregister fans out to all of them
-// (paper §4.2: the Subscription Manager "warns each MQP").
+// Wires the manager to every shard's detection replica, in shard order —
+// every Register/Unregister fans out to all of them (paper §4.2: the
+// Subscription Manager "warns each MQP").
 manager::SubscriptionManager::Components BuildComponents(
     IngestPipeline* pipeline, trigger::TriggerEngine* trigger_engine,
     reporter::Reporter* reporter, query::QueryEngine* query_engine,
     const Clock* clock) {
-  PipelineShard& primary = pipeline->shard(0);
   manager::SubscriptionManager::Components components{
-      &primary.mqp,          &primary.url_alerter, &primary.xml_alerter,
-      &primary.html_alerter, &primary.alert_pipeline,
-      trigger_engine,        reporter,             query_engine,
-      clock};
-  for (size_t i = 1; i < pipeline->shard_count(); ++i) {
-    PipelineShard& shard = pipeline->shard(i);
-    components.replicas.push_back({&shard.mqp, &shard.url_alerter,
-                                   &shard.xml_alerter, &shard.html_alerter,
-                                   &shard.alert_pipeline});
+      {}, trigger_engine, reporter, query_engine, clock};
+  for (size_t i = 0; i < pipeline->shard_count(); ++i) {
+    components.replicas.push_back(ReplicaOf(pipeline->shard(i)));
   }
   return components;
+}
+
+std::vector<DocJob> JobsFor(const std::vector<webstub::FetchedDoc>& docs) {
+  std::vector<DocJob> jobs;
+  jobs.reserve(docs.size());
+  for (const webstub::FetchedDoc& doc : docs) {
+    jobs.push_back(DocJob{doc.url, doc.body, /*deletion=*/false});
+  }
+  return jobs;
 }
 
 }  // namespace
 
 XylemeMonitor::XylemeMonitor(const Clock* clock, const Options& options)
     : clock_(clock),
-      crawl_batch_size_(options.crawl_batch_size),
-      auto_restart_shards_(options.auto_restart_shards),
-      pipeline_(PipelineOptions(options, &classifier_)),
-      outbox_(reporter::Outbox::Options{options.outbox_daily_capacity, true}),
+      pipeline_(options, &classifier_),
       query_engine_(pipeline_.document_source()),
       reporter_(&outbox_, &query_engine_),
       manager_(BuildComponents(&pipeline_, &trigger_engine_, &reporter_,
@@ -75,10 +57,7 @@ XylemeMonitor::XylemeMonitor(const Clock* clock, const Options& options)
   // detection structures empty; rebind the manager to the fresh pointers and
   // replay every live registration into them (DESIGN.md §13).
   pipeline_.set_restart_hook([this](size_t index) {
-    PipelineShard& shard = pipeline_.shard(index);
-    return manager_.RebindReplica(
-        index, {&shard.mqp, &shard.url_alerter, &shard.xml_alerter,
-                &shard.html_alerter, &shard.alert_pipeline});
+    return manager_.RebindReplica(index, ReplicaOf(pipeline_.shard(index)));
   });
 
   // Cold-start recovery through the StorageHub, which owns every store and
@@ -275,20 +254,21 @@ void XylemeMonitor::FlushTriggerEventsLocked() {
   }
 }
 
-void XylemeMonitor::ProcessJobsLocked(std::vector<DocJob> jobs) {
+void XylemeMonitor::ProcessJobsLocked(std::vector<DocJob> jobs,
+                                      std::vector<DocOutcome>* outcomes) {
   // Kill-at-a-batch-boundary containment: sweep for dead workers and
   // restart quarantined shards *before* scattering, so a worker that died
   // between batches is respawned (recovered from its partition, replayed
   // the subscription log) in time for this batch to see a full fleet.
   pipeline_.PollWorkers();
   MaybeRestartShardsLocked();
-  pipeline_.ProcessBatch(std::move(jobs), clock_->Now(), this);
+  pipeline_.ProcessBatch(std::move(jobs), clock_->Now(), this, outcomes);
   FlushTriggerEventsLocked();
   MaybeRestartShardsLocked();
 }
 
 void XylemeMonitor::MaybeRestartShardsLocked() {
-  if (!auto_restart_shards_ || !pipeline_.has_unhealthy_shards()) return;
+  if (!pipeline_.has_unhealthy_shards()) return;
   Status st = pipeline_.RestartUnhealthyShards();
   if (restart_status_.ok() && !st.ok()) restart_status_ = st;
 }
@@ -302,22 +282,12 @@ void XylemeMonitor::ProcessFetch(const std::string& url,
 void XylemeMonitor::ProcessFetchBatch(
     const std::vector<webstub::FetchedDoc>& docs) {
   std::lock_guard<std::mutex> lock(api_mutex_);
-  std::vector<DocJob> jobs;
-  jobs.reserve(docs.size());
-  for (const webstub::FetchedDoc& doc : docs) {
-    jobs.push_back(DocJob{doc.url, doc.body, /*deletion=*/false});
-  }
-  ProcessJobsLocked(std::move(jobs));
+  ProcessJobsLocked(JobsFor(docs));
 }
 
 Status XylemeMonitor::ProcessDeletionLocked(const std::string& url) {
-  pipeline_.PollWorkers();
-  MaybeRestartShardsLocked();
   std::vector<DocOutcome> outcomes;
-  pipeline_.ProcessBatch({DocJob{url, /*body=*/"", /*deletion=*/true}},
-                         clock_->Now(), this, &outcomes);
-  FlushTriggerEventsLocked();
-  MaybeRestartShardsLocked();
+  ProcessJobsLocked({DocJob{url, /*body=*/"", /*deletion=*/true}}, &outcomes);
   return outcomes.empty() ? Status::OK() : outcomes[0].status;
 }
 
@@ -331,29 +301,7 @@ void XylemeMonitor::ProcessCrawl(webstub::Crawler* crawler) {
   for (const auto& [url, period] : manager_.refresh_hints()) {
     crawler->SetRefreshHint(url, period);
   }
-  Timestamp now = clock_->Now();
-  auto process_docs = [this](const std::vector<webstub::FetchedDoc>& docs) {
-    std::vector<DocJob> jobs;
-    jobs.reserve(docs.size());
-    for (const webstub::FetchedDoc& doc : docs) {
-      jobs.push_back(DocJob{doc.url, doc.body, /*deletion=*/false});
-    }
-    ProcessJobsLocked(std::move(jobs));
-  };
-  if (crawl_batch_size_ == 0) {
-    // One batch per round: everything due at once (the historical shape).
-    process_docs(crawler->FetchAllDue(now));
-  } else {
-    // Bounded batches keep scatter memory proportional to the batch, not
-    // the backlog. The attempted set spans the round (see FetchAllDue).
-    std::unordered_set<std::string> attempted;
-    while (true) {
-      std::vector<webstub::FetchedDoc> docs =
-          crawler->FetchBatch(now, crawl_batch_size_, &attempted);
-      if (docs.empty()) break;
-      process_docs(docs);
-    }
-  }
+  ProcessJobsLocked(JobsFor(crawler->FetchAllDue(clock_->Now())));
   ProcessDocStatusEventsLocked(crawler->TakeEvents());
   quarantined_urls_ = crawler->quarantined_count();
   last_crawler_stats_ = crawler->stats();
@@ -385,32 +333,6 @@ void XylemeMonitor::ProcessDocStatusEvents(
   ProcessDocStatusEventsLocked(events);
 }
 
-XylemeMonitor::HealthReport XylemeMonitor::health() const {
-  std::lock_guard<std::mutex> lock(api_mutex_);
-  HealthReport report;
-  // The crawler's own stats (as of the last ProcessCrawl) are the single
-  // source of truth for acquisition counters; the named fields are views.
-  report.fetch_errors = last_crawler_stats_.fetch_errors;
-  report.retries = last_crawler_stats_.retries_scheduled;
-  report.quarantined_urls = quarantined_urls_;
-  report.degraded_documents = stats_.degraded_documents;
-  report.disappeared_documents = stats_.disappeared_documents;
-  report.reappeared_documents = stats_.reappeared_documents;
-  PipelineStats ps = pipeline_.stats();
-  report.failed_documents = ps.failed_documents;
-  report.stage_failures = ps.stage_failures;
-  report.deadline_exceeded = ps.deadline_exceeded;
-  report.poisoned_urls = ps.poisoned_urls;
-  report.poison_rejections = ps.poison_rejections;
-  report.shard_restarts = ps.shard_restarts;
-  for (const ShardStatus& shard : ps.shard_status) {
-    if (shard.health == ShardHealth::kDegraded) ++report.degraded_shards;
-    if (shard.health == ShardHealth::kQuarantined) ++report.quarantined_shards;
-  }
-  report.crawler = last_crawler_stats_;
-  return report;
-}
-
 void XylemeMonitor::Tick() {
   std::lock_guard<std::mutex> lock(api_mutex_);
   Timestamp now = clock_->Now();
@@ -438,16 +360,15 @@ std::string XylemeMonitor::StatusReport() const {
   subs->SetAttribute("atomic_events",
                      std::to_string(manager_.atomic_event_count()));
 
+  PipelineStats ps = pipeline_.stats();
   const mqp::Matcher& matcher = pipeline_.shard(0).mqp.matcher();
-  uint64_t documents_matched = 0;
-  for (size_t i = 0; i < pipeline_.shard_count(); ++i) {
-    documents_matched += pipeline_.shard(i).mqp.matcher().stats().documents;
-  }
   xml::Node* m = root->AddChild(xml::Node::Element("MQP"));
   m->SetAttribute("algorithm", matcher.name());
   m->SetAttribute("complex_events", std::to_string(matcher.size()));
   m->SetAttribute("memory_bytes", std::to_string(matcher.MemoryUsage()));
-  m->SetAttribute("documents_matched", std::to_string(documents_matched));
+  // Documents that reached stage 3, on whichever substrate ran it: worker
+  // processes return their stage counters with every slot.
+  m->SetAttribute("documents_matched", std::to_string(ps.match.documents));
 
   xml::Node* trig = root->AddChild(xml::Node::Element("TriggerEngine"));
   trig->SetAttribute("triggers",
@@ -469,14 +390,14 @@ std::string XylemeMonitor::StatusReport() const {
   portal->SetAttribute("published",
                        std::to_string(web_portal_.published_count()));
 
-  PipelineStats ps = pipeline_.stats();
   xml::Node* pipe = root->AddChild(xml::Node::Element("Pipeline"));
   pipe->SetAttribute("shards", std::to_string(ps.shards));
   pipe->SetAttribute("batches", std::to_string(ps.batches));
   pipe->SetAttribute("documents", std::to_string(ps.documents));
   pipe->SetAttribute("queue_high_water",
                      std::to_string(ps.queue_high_water));
-  pipe->SetAttribute("failed_documents", std::to_string(ps.failed_documents));
+  pipe->SetAttribute("failed_documents",
+                     std::to_string(stats_.failed_documents));
   pipe->SetAttribute("stage_failures", std::to_string(ps.stage_failures));
   pipe->SetAttribute("deadline_exceeded",
                      std::to_string(ps.deadline_exceeded));
@@ -527,7 +448,8 @@ std::string XylemeMonitor::StatusReport() const {
                    std::to_string(stats_.degraded_documents));
   hp->SetAttribute("disappeared", std::to_string(stats_.disappeared_documents));
   hp->SetAttribute("reappeared", std::to_string(stats_.reappeared_documents));
-  hp->SetAttribute("failed_documents", std::to_string(ps.failed_documents));
+  hp->SetAttribute("failed_documents",
+                   std::to_string(stats_.failed_documents));
   hp->SetAttribute("poison_rejections",
                    std::to_string(ps.poison_rejections));
   hp->SetAttribute("shard_restarts", std::to_string(ps.shard_restarts));

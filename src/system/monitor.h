@@ -13,8 +13,8 @@
 #include "src/query/engine.h"
 #include "src/reporter/reporter.h"
 #include "src/storage/storage_hub.h"
-#include "src/sublang/validator.h"
 #include "src/system/binding_resolver.h"
+#include "src/system/options.h"
 #include "src/system/pipeline.h"
 #include "src/trigger/trigger_engine.h"
 #include "src/warehouse/warehouse.h"
@@ -37,87 +37,8 @@ namespace xymon::system {
 ///   monitor.Tick();                    // continuous queries, reports
 class XylemeMonitor : private DeliverySink {
  public:
-  struct Options {
-    /// Document-flow partitions (paper §4.2). 1 runs the shard on the caller
-    /// thread; N > 1 runs N shard worker threads (or processes).
-    size_t num_shards = 1;
-    /// ProcessCrawl batch size: how many due documents are fetched and
-    /// pushed through the pipeline per batch. 0 = one batch per round
-    /// (everything due at once — the historical behaviour).
-    size_t crawl_batch_size = 0;
-    /// Trie vs hash `URL extends` structure (see DESIGN.md T-URL).
-    bool use_trie_prefixes = false;
-    /// Subscription recovery log path; "" disables persistence.
-    std::string storage_path;
-    /// Warehouse store path; "" keeps the repository in memory only. The
-    /// StorageHub opens one partition file per shard and records the layout
-    /// in `<path>.manifest` — reopening with a different num_shards
-    /// re-scatters the partitions automatically (DESIGN.md §12).
-    std::string warehouse_path;
-    /// User-registry store path; "" keeps accounts in memory only.
-    std::string user_registry_path;
-    /// Outbox backlog path; "" loses undelivered reports on restart. With a
-    /// path, reports are delivered at-least-once across crashes (seq-number
-    /// dedup on the receiving side).
-    std::string outbox_path;
-    /// Filesystem all stores run on; nullptr = the real one. The crash
-    /// sweep injects a FaultyEnv here.
-    storage::Env* env = nullptr;
-    /// Outbox capacity (0 = unlimited); see bench_reporter.
-    uint64_t outbox_daily_capacity = 0;
-    /// Consecutive malformed bodies absorbed per warehoused-XML URL before
-    /// the type change is accepted (degrade-don't-die; 0 = accept at once).
-    uint32_t max_parse_failures_per_url = 3;
-    /// fsync the subscription log every N appends (0 = flush only); see
-    /// LogStore::Options.
-    uint32_t storage_fsync_every_n = 0;
-    /// Auto-checkpoint bound the StorageHub applies to *every* store —
-    /// warehouse partitions, subscriptions, users, outbox (0 disables).
-    size_t auto_checkpoint_bytes = 64u << 20;
-    sublang::ValidatorOptions validator;
-
-    // -- Self-healing pipeline (DESIGN.md §13) ------------------------------
-
-    /// Stage containment: a stage that throws fails its document instead of
-    /// the process, with poison tracking and shard health accounting. Off
-    /// restores the die-on-throw seed behaviour (bench baseline).
-    bool fault_containment = true;
-    /// Batch deadline in ms (0 = none): the watchdog fails a batch stuck
-    /// past it and quarantines the wedged shards. One thread shard runs its
-    /// slots inside the scatter and never waits.
-    uint32_t batch_deadline_ms = 0;
-    /// Consecutive contained stage failures before a URL is quarantined by
-    /// the poison tracker (0 = never).
-    uint32_t max_stage_failures_per_url = 3;
-    /// Shard work-queue high-water mark (0 = unbounded): scatter blocks at
-    /// the limit instead of growing the queue without bound.
-    size_t queue_high_water_limit = 0;
-    /// Clean batches before a degraded shard recovers to healthy.
-    uint64_t health_recovery_batches = 3;
-    /// Restart quarantined shards from storage automatically after the
-    /// batch that quarantined them (and before the next one). Off leaves
-    /// them quarantined for the operator (pipeline().RestartShard).
-    bool auto_restart_shards = true;
-    /// Stage fault injection (tests/benches); owner outlives the monitor.
-    StageFaultInjector* stage_faults = nullptr;
-
-    // -- Worker processes (DESIGN.md §14) -----------------------------------
-
-    /// Execution substrate for the shards: kThread (default) runs worker
-    /// threads, kProcess runs each shard as a supervised worker *process*
-    /// over the framed wire protocol, with heartbeats and kill-and-restart
-    /// containment — a crashing or wedged worker costs its shard's slots of
-    /// one batch, never the monitor.
-    ShardMode shard_mode = ShardMode::kThread;
-    /// Worker executable for kProcess; "" falls back to $XYMON_WORKER_BIN.
-    std::string worker_binary;
-    /// Supervisor→worker ping cadence (0 disables the wedge detector).
-    uint32_t worker_heartbeat_interval_ms = 500;
-    /// A worker silent for longer than this is SIGKILLed (0 disables).
-    uint32_t worker_heartbeat_timeout_ms = 5000;
-    /// Bound on worker command round-trips and full-buffer slot writes.
-    uint32_t worker_command_timeout_ms = 10000;
-  };
+  /// Every setting, declared once (src/system/options.h).
+  using Options = SystemOptions;
 
   struct Stats {
     uint64_t documents_processed = 0;
@@ -131,31 +52,6 @@ class XylemeMonitor : private DeliverySink {
     uint64_t failed_documents = 0;
 
     bool operator==(const Stats&) const = default;
-  };
-
-  /// Operator view of how the system is absorbing web faults: the monitor's
-  /// own degrade counters plus the driving crawler's fault/outcome counters
-  /// (as of the last ProcessCrawl — the single source of truth for
-  /// fetch_errors/retries is the crawler's own stats).
-  struct HealthReport {
-    uint64_t fetch_errors = 0;      // == crawler.fetch_errors
-    uint64_t retries = 0;           // == crawler.retries_scheduled
-    uint64_t quarantined_urls = 0;  // gauge, from the last ProcessCrawl
-    uint64_t degraded_documents = 0;
-    uint64_t disappeared_documents = 0;
-    uint64_t reappeared_documents = 0;
-    // -- Self-healing pipeline (views over PipelineStats) -------------------
-    uint64_t failed_documents = 0;
-    uint64_t stage_failures = 0;
-    uint64_t deadline_exceeded = 0;
-    uint64_t poisoned_urls = 0;      // gauge: poison-tracker quarantine
-    uint64_t poison_rejections = 0;
-    uint64_t shard_restarts = 0;
-    size_t degraded_shards = 0;      // gauge
-    size_t quarantined_shards = 0;   // gauge
-    webstub::CrawlerStats crawler;
-
-    bool operator==(const HealthReport&) const = default;
   };
 
   explicit XylemeMonitor(const Clock* clock) : XylemeMonitor(clock, {}) {}
@@ -199,7 +95,7 @@ class XylemeMonitor : private DeliverySink {
 
   // -- Subscriptions ----------------------------------------------------------
   // Every mutating call quiesces the document flow: it waits for any running
-  // batch to finish, then applies to all shards (primary + replicas).
+  // batch to finish, then applies to every shard's detection replica.
 
   Result<std::string> Subscribe(const std::string& text,
                                 const std::string& email);
@@ -233,11 +129,10 @@ class XylemeMonitor : private DeliverySink {
   void ProcessFetchBatch(const std::vector<webstub::FetchedDoc>& docs);
 
   /// Drives one acquisition round end-to-end: pushes `refresh` hints,
-  /// fetches everything due at the current clock (in batches of
-  /// Options::crawl_batch_size), processes each batch, routes the crawler's
-  /// doc-status transitions into the alerter chain and refreshes the health
-  /// counters. The degrade-don't-die entry point — a faulting web never
-  /// aborts the round.
+  /// fetches everything due at the current clock, processes it as one
+  /// batch, routes the crawler's doc-status transitions into the alerter
+  /// chain and refreshes the health counters. The degrade-don't-die entry
+  /// point — a faulting web never aborts the round.
   void ProcessCrawl(webstub::Crawler* crawler);
 
   /// Routes observed doc-status transitions (paper's weak events) into the
@@ -260,13 +155,15 @@ class XylemeMonitor : private DeliverySink {
   /// Self-description: one XML document with the health counters of every
   /// module (documents, alerts, MQP structure, reporter, outbox, portal,
   /// per-stage pipeline counters) — the operational view a warehouse
-  /// operator watches.
+  /// operator watches. Its <Health> element shows how the system absorbs
+  /// web faults: the driving crawler's fetch errors, retries and
+  /// quarantined URLs as of the last ProcessCrawl, the monitor's degrade
+  /// counters and the pipeline's self-healing counters.
   std::string StatusReport() const;
 
   // -- Component access (read-mostly; used by tests, benches, examples) -----
 
   const Stats& stats() const { return stats_; }
-  HealthReport health() const;
   /// Shard 0's warehouse partition (the whole repository when num_shards
   /// is 1). Multi-shard callers use pipeline().WarehouseFor(url).
   warehouse::Warehouse& warehouse() { return pipeline_.shard(0).warehouse; }
@@ -296,7 +193,11 @@ class XylemeMonitor : private DeliverySink {
   void Deliver(const DocJob& job, DocOutcome& outcome) override;
 
   // Unlocked internals; public methods take api_mutex_ and delegate.
-  void ProcessJobsLocked(std::vector<DocJob> jobs);
+  /// The one batch entry sequence: poll workers, restart quarantined
+  /// shards, run the batch (per-slot outcomes into `outcomes`, if set),
+  /// fire its trigger events, restart what the batch quarantined.
+  void ProcessJobsLocked(std::vector<DocJob> jobs,
+                         std::vector<DocOutcome>* outcomes = nullptr);
   Status ProcessDeletionLocked(const std::string& url);
   void ProcessDocStatusEventsLocked(
       const std::vector<webstub::DocStatusEvent>& events);
@@ -308,17 +209,14 @@ class XylemeMonitor : private DeliverySink {
   /// therefore evaluate against the fully ingested batch, identically for
   /// every shard count (the former §11 timing caveat).
   void FlushTriggerEventsLocked();
-  /// After a batch: if the watchdog quarantined any shard and auto-restart
-  /// is on, tear the shards down and rebuild them from storage
-  /// (IngestPipeline::RestartShard) — the restart hook re-registers every
-  /// subscription on the fresh detection replicas. A restart failure parks
-  /// in restart_status() and the shard stays quarantined (the scatter
-  /// routes around it).
+  /// After a batch: if the watchdog quarantined any shard, tear the shards
+  /// down and rebuild them from storage (IngestPipeline::RestartShard) —
+  /// the restart hook re-registers every subscription on the fresh
+  /// detection replicas. A restart failure parks in restart_status() and
+  /// the shard stays quarantined (the scatter routes around it).
   void MaybeRestartShardsLocked();
 
   const Clock* clock_;
-  size_t crawl_batch_size_;
-  bool auto_restart_shards_;
   warehouse::DomainClassifier classifier_;
   /// Owns every PersistentMap; declared before pipeline_ so the shard
   /// workers (which touch warehouse partitions) join before the stores die.

@@ -95,8 +95,6 @@ const char* ShardHealthName(ShardHealth health) {
       return "degraded";
     case ShardHealth::kQuarantined:
       return "quarantined";
-    case ShardHealth::kRestarting:
-      return "restarting";
   }
   return "unknown";
 }
@@ -206,7 +204,7 @@ class IngestPipeline::ThreadTransport : public ShardTransport {
   ThreadTransport(IngestPipeline* pipeline, size_t index)
       : pipeline_(pipeline),
         index_(index),
-        threaded_(pipeline->options_.shards > 1) {}
+        threaded_(pipeline->options_.num_shards > 1) {}
   ~ThreadTransport() override { Stop(); }
 
   Status Start(PipelineShard* shard) override {
@@ -323,7 +321,8 @@ class IngestPipeline::ThreadTransport : public ShardTransport {
   DocOutcome Run(const BatchState& batch, size_t slot, uint64_t docid_hint) {
     DocOutcome out;
     ProcessDocJob(*shard_, batch.jobs[slot], docid_hint, batch.now,
-                  pipeline_->options_.containment, pipeline_->resolver_, &out);
+                  pipeline_->options_.fault_containment, pipeline_->resolver_,
+                  &out);
     return out;
   }
 
@@ -384,15 +383,17 @@ class IngestPipeline::ThreadTransport : public ShardTransport {
 
 std::unique_ptr<PipelineShard> IngestPipeline::MakeShard() {
   return std::make_unique<PipelineShard>(
-      options_.classifier, options_.use_trie_prefixes,
+      classifier_, options_.use_trie_prefixes,
       options_.max_parse_failures_per_url, &dtd_registry_,
       options_.stage_faults);
 }
 
-IngestPipeline::IngestPipeline(const Options& options) : options_(options) {
-  options_.shards = std::max<size_t>(1, options.shards);
-  shards_.reserve(options_.shards);
-  for (size_t i = 0; i < options_.shards; ++i) {
+IngestPipeline::IngestPipeline(const SystemOptions& options,
+                               const warehouse::DomainClassifier* classifier)
+    : options_(options), classifier_(classifier) {
+  options_.num_shards = std::max<size_t>(1, options.num_shards);
+  shards_.reserve(options_.num_shards);
+  for (size_t i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(MakeShard());
   }
   sharded_source_ = std::make_unique<ShardedSource>(this);
@@ -403,8 +404,8 @@ IngestPipeline::IngestPipeline(const Options& options) : options_(options) {
   if (options_.shard_mode == ShardMode::kProcess) {
     replay_log = std::make_shared<ReplayLog>();
   }
-  transports_.reserve(options_.shards);
-  for (size_t i = 0; i < options_.shards; ++i) {
+  transports_.reserve(options_.num_shards);
+  for (size_t i = 0; i < options_.num_shards; ++i) {
     if (replay_log != nullptr) {
       ShardWorkerProxy::Supervision sup;
       sup.dtd_id_for = [this](const std::string& dtd_url) {
@@ -414,7 +415,7 @@ IngestPipeline::IngestPipeline(const Options& options) : options_(options) {
         QuarantineShard(shard_index);
       };
       transports_.push_back(std::make_unique<ShardWorkerProxy>(
-          i, options_, replay_log, std::move(sup)));
+          i, options_, classifier_, replay_log, std::move(sup)));
     } else {
       transports_.push_back(std::make_unique<ThreadTransport>(this, i));
     }
@@ -432,21 +433,21 @@ IngestPipeline::~IngestPipeline() = default;
 
 bool IngestPipeline::IsQuarantined(size_t index) const {
   std::lock_guard<std::mutex> lock(shards_[index]->mutex);
-  return shards_[index]->health == ShardHealth::kQuarantined;
+  return shards_[index]->status.health == ShardHealth::kQuarantined;
 }
 
 void IngestPipeline::QuarantineShard(size_t index) {
   PipelineShard& shard = *shards_[index];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.health = ShardHealth::kQuarantined;
+  shard.status.health = ShardHealth::kQuarantined;
 }
 
 void IngestPipeline::MarkStuck(size_t index) {
   PipelineShard& shard = *shards_[index];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.health != ShardHealth::kQuarantined) {
-    shard.health = ShardHealth::kQuarantined;
-    ++shard.deadline_failures;
+  if (shard.status.health != ShardHealth::kQuarantined) {
+    shard.status.health = ShardHealth::kQuarantined;
+    ++shard.status.deadline_failures;
   }
 }
 
@@ -568,7 +569,7 @@ void IngestPipeline::ProcessBatch(std::vector<DocJob> jobs, Timestamp now,
   auto state = std::make_shared<BatchState>();
   state->jobs = std::move(jobs);
   state->now = now;
-  if (options_.containment && options_.batch_deadline_ms > 0) {
+  if (options_.fault_containment && options_.batch_deadline_ms > 0) {
     state->deadline =
         steady::now() + std::chrono::milliseconds(options_.batch_deadline_ms);
   }
@@ -587,7 +588,7 @@ void IngestPipeline::ProcessBatch(std::vector<DocJob> jobs, Timestamp now,
   for (size_t i = 0; i < n; ++i) {
     const DocJob& job = state->jobs[i];
     const uint64_t hint = AssignDocid(job);
-    if (options_.containment && poisoned_.count(job.url) != 0) {
+    if (options_.fault_containment && poisoned_.count(job.url) != 0) {
       ++poison_rejections_;
       state->Publish(i, DocOutcome::Failure(
                             "poisoned",
@@ -653,7 +654,7 @@ void IngestPipeline::ProcessBatch(std::vector<DocJob> jobs, Timestamp now,
 
 void IngestPipeline::UpdateBatchAccounting(
     const std::vector<DocJob>& jobs, const std::vector<DocOutcome>& outcomes) {
-  if (!options_.containment) return;
+  if (!options_.fault_containment) return;
   std::vector<uint64_t> failures(shards_.size(), 0);
   std::vector<uint8_t> touched(shards_.size(), 0);
   for (size_t i = 0; i < jobs.size(); ++i) {
@@ -661,7 +662,6 @@ void IngestPipeline::UpdateBatchAccounting(
     size_t idx = ShardFor(jobs[i].url);
     touched[idx] = 1;
     if (o.failed) {
-      ++failed_documents_;
       // Pipeline-level failures (poison/deadline/shard-down) are not the
       // document's fault: they neither advance its poison count nor degrade
       // the shard's health here (the watchdog already quarantined it).
@@ -685,15 +685,15 @@ void IngestPipeline::UpdateBatchAccounting(
     PipelineShard& shard = *shards_[idx];
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (failures[idx] > 0) {
-      shard.stage_failures += failures[idx];
+      shard.status.stage_failures += failures[idx];
       shard.last_failure_batch = batches_;
-      if (shard.health == ShardHealth::kHealthy) {
-        shard.health = ShardHealth::kDegraded;
+      if (shard.status.health == ShardHealth::kHealthy) {
+        shard.status.health = ShardHealth::kDegraded;
       }
-    } else if (shard.health == ShardHealth::kDegraded &&
+    } else if (shard.status.health == ShardHealth::kDegraded &&
                batches_ - shard.last_failure_batch >=
                    options_.health_recovery_batches) {
-      shard.health = ShardHealth::kHealthy;
+      shard.status.health = ShardHealth::kHealthy;
     }
   }
 }
@@ -752,10 +752,6 @@ Status IngestPipeline::RestartShard(size_t index) {
     return Status::InvalidArgument("no shard " + std::to_string(index));
   }
   PipelineShard& old = *shards_[index];
-  {
-    std::lock_guard<std::mutex> lock(old.mutex);
-    old.health = ShardHealth::kRestarting;
-  }
   // Stop the substrate before the old shard is destroyed: no worker thread,
   // and no worker process's reader merging a late result's stage counters,
   // may touch it afterwards.
@@ -764,15 +760,13 @@ Status IngestPipeline::RestartShard(size_t index) {
   auto fresh = MakeShard();
   // Cumulative bookkeeping survives the restart (operators see monotonic
   // counters); health history rides along, the verdict resets below.
-  fresh->stage_failures = old.stage_failures;
-  fresh->deadline_failures = old.deadline_failures;
+  fresh->status = old.status;
+  ++fresh->status.restarts;
   fresh->last_failure_batch = old.last_failure_batch;
-  fresh->restarts = old.restarts + 1;
   fresh->ingest_counts = old.ingest_counts;
   fresh->detect_counts = old.detect_counts;
   fresh->match_counts = old.match_counts;
   fresh->notify_counts = old.notify_counts;
-  fresh->health = ShardHealth::kRestarting;
   // Destroy the old shard before its store is reopened underneath it.
   shards_[index] = std::move(fresh);
   PipelineShard& shard = *shards_[index];
@@ -801,7 +795,8 @@ Status IngestPipeline::RestartShard(size_t index) {
   // Failing leaves the shard quarantined: the caller sees the error and
   // the scatter keeps routing around it.
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.health = st.ok() ? ShardHealth::kHealthy : ShardHealth::kQuarantined;
+  shard.status.health =
+      st.ok() ? ShardHealth::kHealthy : ShardHealth::kQuarantined;
   return st;
 }
 
@@ -858,7 +853,6 @@ PipelineStats IngestPipeline::stats() const {
   out.shards = shards_.size();
   out.batches = batches_;
   out.documents = documents_;
-  out.failed_documents = failed_documents_;
   out.deadline_exceeded = deadline_exceeded_;
   out.poison_rejections = poison_rejections_;
   out.poisoned_urls = poisoned_.size();
@@ -870,11 +864,9 @@ PipelineStats IngestPipeline::stats() const {
     {
       const PipelineShard& shard = *shards_[i];
       std::lock_guard<std::mutex> lock(shard.mutex);
-      out.stage_failures += shard.stage_failures;
-      out.shard_restarts += shard.restarts;
-      out.shard_status.push_back(ShardStatus{shard.health, shard.restarts,
-                                             shard.stage_failures,
-                                             shard.deadline_failures});
+      out.stage_failures += shard.status.stage_failures;
+      out.shard_restarts += shard.status.restarts;
+      out.shard_status.push_back(shard.status);
       add(&out.ingest, shard.ingest_counts);
       add(&out.detect, shard.detect_counts);
       add(&out.match, shard.match_counts);

@@ -20,23 +20,10 @@
 #include "src/mqp/processor.h"
 #include "src/reporter/payload.h"
 #include "src/storage/storage_hub.h"
+#include "src/system/options.h"
 #include "src/warehouse/warehouse.h"
 
 namespace xymon::system {
-
-class StageFaultInjector;
-
-/// Execution substrate of the shards (DESIGN.md §14). Both run the one
-/// scatter/barrier/ordered-gather of IngestPipeline::ProcessBatch behind the
-/// ShardTransport seam, so delivered output is identical across modes.
-///   kThread  — one worker thread per shard when shards > 1; a single shard
-///              runs on the caller thread. The default.
-///   kProcess — one supervised worker *process* per shard (any count), each
-///              owning its storage partition, spoken to over the framed
-///              wire protocol with heartbeats and kill-and-restart
-///              containment. A crashing or wedged worker costs its shard's
-///              slots of the current batch, never the monitor.
-enum class ShardMode { kThread, kProcess };
 
 // ---------------------------------------------------------------------------
 // The document flow of Figure 3, restructured as an explicit pipeline with
@@ -184,13 +171,12 @@ struct StageCounters {
 /// Per-shard health (DESIGN.md §13):
 ///   kHealthy     — normal operation;
 ///   kDegraded    — a contained stage failure happened recently; recovers to
-///                  healthy after Options::health_recovery_batches clean
-///                  batches touching the shard;
+///                  healthy after SystemOptions::health_recovery_batches
+///                  clean batches touching the shard;
 ///   kQuarantined — the watchdog gave up on the shard (deadline blown or
-///                  backpressure wait timed out); the scatter routes nothing
-///                  to it until it is restarted;
-///   kRestarting  — mid RestartShard (teardown / rebuild-from-storage).
-enum class ShardHealth { kHealthy, kDegraded, kQuarantined, kRestarting };
+///                  backpressure wait timed out) or its worker died; the
+///                  scatter routes nothing to it until it is restarted.
+enum class ShardHealth { kHealthy, kDegraded, kQuarantined };
 
 const char* ShardHealthName(ShardHealth health);
 
@@ -226,7 +212,7 @@ struct PipelineStats {
   /// more than one: a single shard runs on the caller thread, unqueued).
   uint64_t queue_high_water = 0;
   // -- Self-healing counters (all zero with containment off) ----------------
-  uint64_t failed_documents = 0;    // DocOutcome::failed delivered
+  // Failed documents are counted once, in XylemeMonitor::Stats.
   uint64_t stage_failures = 0;      // contained stage throws, all shards
   uint64_t deadline_exceeded = 0;   // slots failed by the watchdog
   uint64_t poison_rejections = 0;   // jobs short-circuited at scatter
@@ -348,11 +334,9 @@ struct PipelineShard {
   /// worker thread write them too).
   mutable std::mutex mutex;
 
-  // Health (transitions documented on ShardHealth).
-  ShardHealth health = ShardHealth::kHealthy;
-  uint64_t restarts = 0;
-  uint64_t stage_failures = 0;
-  uint64_t deadline_failures = 0;
+  /// Health and its cumulative counters (transitions documented on
+  /// ShardHealth), reported as they are by IngestPipeline::stats().
+  ShardStatus status;
   /// Batch sequence number of the last contained failure (degraded→healthy
   /// recovery is measured from here).
   uint64_t last_failure_batch = 0;
@@ -473,68 +457,10 @@ class ShardTransport {
 /// quiescing that lets stage 4a read manager state from shard threads.
 class IngestPipeline {
  public:
-  struct Options {
-    /// Number of document-flow partitions. One thread shard runs on the
-    /// caller thread.
-    size_t shards = 1;
-    /// Trie vs hash `URL extends` structure, per shard.
-    bool use_trie_prefixes = false;
-    /// Degrade-don't-die cap, per shard warehouse.
-    uint32_t max_parse_failures_per_url = 3;
-    /// Domain classifier shared by every shard (owner outlives pipeline).
-    const warehouse::DomainClassifier* classifier = nullptr;
-
-    // -- Self-healing (DESIGN.md §13) ---------------------------------------
-
-    /// Wrap every stage call in containment: a throw fails the DocOutcome
-    /// instead of the process, the poison tracker and health accounting
-    /// run. Off restores the seed's die-on-throw behaviour (the bench
-    /// baseline for the containment-overhead comparison).
-    bool containment = true;
-    /// Batch deadline in milliseconds (0 = none). A batch whose barrier has
-    /// not released by then is failed by the watchdog: unprocessed slots get
-    /// DeadlineExceeded outcomes and the stuck shards are quarantined. A
-    /// one-shard thread pipeline finishes every slot inside the scatter, so
-    /// its barrier never waits.
-    uint32_t batch_deadline_ms = 0;
-    /// Consecutive contained stage failures a URL may cause before it is
-    /// quarantined by the poison tracker (0 = never). A successful pass
-    /// through the pipeline resets the URL's count; restarting the owning
-    /// shard clears its verdict.
-    uint32_t max_stage_failures_per_url = 3;
-    /// Shard work-queue high-water mark (0 = unbounded). At the limit the
-    /// scatter blocks until the worker drains (counted in
-    /// backpressure_waits); with a batch deadline set, the wait is bounded
-    /// by it and a timeout quarantines the shard.
-    size_t queue_high_water_limit = 0;
-    /// Clean batches touching a degraded shard before it recovers to
-    /// healthy.
-    uint64_t health_recovery_batches = 3;
-    /// Stage fault injection (tests/benches; owner outlives the pipeline).
-    /// Each shard's stages are wrapped in FaultyStage decorators sharing
-    /// this injector. In process mode the plan is shipped to every worker
-    /// in its Hello frame, so the workers inject the same faults.
-    StageFaultInjector* stage_faults = nullptr;
-
-    // -- Worker processes (DESIGN.md §14) -------------------------------------
-
-    /// Execution substrate for the shards (see ShardMode).
-    ShardMode shard_mode = ShardMode::kThread;
-    /// Worker executable for kProcess; "" falls back to $XYMON_WORKER_BIN.
-    std::string worker_binary;
-    /// Supervisor→worker ping cadence (0 disables pings and the wedge
-    /// detector).
-    uint32_t worker_heartbeat_interval_ms = 500;
-    /// A worker whose last frame is older than this is SIGKILLed by the
-    /// heartbeat thread (0 disables; batch deadlines still apply).
-    uint32_t worker_heartbeat_timeout_ms = 5000;
-    /// Bound on worker command round-trips (handshake, subscription
-    /// broadcast acks, checkpoints) and on slot writes into a full socket
-    /// buffer.
-    uint32_t worker_command_timeout_ms = 10000;
-  };
-
-  explicit IngestPipeline(const Options& options);
+  /// `classifier` is shared by every shard's warehouse; its owner outlives
+  /// the pipeline.
+  IngestPipeline(const SystemOptions& options,
+                 const warehouse::DomainClassifier* classifier);
   ~IngestPipeline();
 
   IngestPipeline(const IngestPipeline&) = delete;
@@ -672,7 +598,8 @@ class IngestPipeline {
   void UpdateBatchAccounting(const std::vector<DocJob>& jobs,
                              const std::vector<DocOutcome>& outcomes);
 
-  Options options_;
+  SystemOptions options_;
+  const warehouse::DomainClassifier* const classifier_;
   const NotifyResolver* resolver_ = nullptr;
   std::function<Status(size_t)> restart_hook_;
   warehouse::DtdRegistry dtd_registry_;
@@ -697,7 +624,6 @@ class IngestPipeline {
   // Gather-thread counters.
   uint64_t batches_ = 0;
   uint64_t documents_ = 0;
-  uint64_t failed_documents_ = 0;
   uint64_t deadline_exceeded_ = 0;
   uint64_t poison_rejections_ = 0;
 };

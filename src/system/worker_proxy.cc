@@ -19,6 +19,11 @@ namespace xymon::system {
 
 namespace {
 
+/// Bound on worker command round-trips (handshake, subscription broadcast
+/// acks, checkpoints, domain queries) and on slot writes into a full socket
+/// buffer.
+constexpr uint32_t kCommandTimeoutMs = 10000;
+
 int64_t SteadyMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -99,18 +104,19 @@ const std::string& ReplayLog::Record(const ReplicaCommand& command) {
   return entries_.back().second;
 }
 
-ShardWorkerProxy::ShardWorkerProxy(size_t shard_index,
-                                   const IngestPipeline::Options& options,
-                                   std::shared_ptr<ReplayLog> replay_log,
-                                   Supervision supervision)
+ShardWorkerProxy::ShardWorkerProxy(
+    size_t shard_index, const SystemOptions& options,
+    const warehouse::DomainClassifier* classifier,
+    std::shared_ptr<ReplayLog> replay_log, Supervision supervision)
     : shard_index_(shard_index),
       options_(options),
+      classifier_(classifier),
       replay_log_(std::move(replay_log)),
       supervision_(std::move(supervision)) {
   hello_.shard_index = static_cast<uint32_t>(shard_index);
-  hello_.num_shards = static_cast<uint32_t>(options.shards);
+  hello_.num_shards = static_cast<uint32_t>(options.num_shards);
   hello_.use_trie_prefixes = options.use_trie_prefixes ? 1 : 0;
-  hello_.containment = options.containment ? 1 : 0;
+  hello_.containment = options.fault_containment ? 1 : 0;
   hello_.max_parse_failures = options.max_parse_failures_per_url;
   if (options.stage_faults != nullptr) {
     for (const StageFaultSpec& f : options.stage_faults->plan().faults) {
@@ -203,11 +209,10 @@ Status ShardWorkerProxy::Spawn() {
 
   // Versioned handshake before any state: Hello out, HelloAck back, both
   // bounded — a worker that never answers is killed here, not waited on.
-  Status s = ipc::WriteFrame(sv[0], ipc::Encode(hello_),
-                             options_.worker_command_timeout_ms);
+  Status s = ipc::WriteFrame(sv[0], ipc::Encode(hello_), kCommandTimeoutMs);
   if (!s.ok()) return abort_spawn(std::move(s));
   std::string payload;
-  s = ipc::ReadFrame(sv[0], &payload, options_.worker_command_timeout_ms);
+  s = ipc::ReadFrame(sv[0], &payload, kCommandTimeoutMs);
   if (!s.ok()) return abort_spawn(std::move(s));
   ipc::HelloAckMsg ack;
   s = ipc::Decode(payload, &ack);
@@ -253,7 +258,7 @@ Status ShardWorkerProxy::Attach(
   {
     // Harvest the recovered partition before handing its file over; the
     // document count is refreshed by every SlotResult from here on.
-    warehouse::Warehouse scratch(options_.classifier);
+    warehouse::Warehouse scratch(classifier_);
     XYMON_RETURN_IF_ERROR(scratch.AttachStore(hub->partition(shard_index_)));
     recovered(scratch);
     std::lock_guard<std::mutex> lock(mutex_);
@@ -307,11 +312,10 @@ Status ShardWorkerProxy::Request(uint64_t seq, const std::string& payload,
     if (dead_ || !spawned_) return Status::Unavailable("worker down");
     waiting_.insert(seq);
   }
-  Status s = WriteFrameLocked(payload, options_.worker_command_timeout_ms);
+  Status s = WriteFrameLocked(payload, kCommandTimeoutMs);
   std::unique_lock<std::mutex> lock(mutex_);
   if (s.ok()) {
-    cv_.wait_for(lock,
-                 std::chrono::milliseconds(options_.worker_command_timeout_ms),
+    cv_.wait_for(lock, std::chrono::milliseconds(kCommandTimeoutMs),
                  [&] { return dead_ || replies_.count(seq) > 0; });
   }
   waiting_.erase(seq);
@@ -352,8 +356,7 @@ Status ShardWorkerProxy::Send(const std::shared_ptr<BatchState>& batch,
   msg.now = batch->now;
   msg.url = job.url;
   msg.body = job.body;
-  Status s =
-      WriteFrameLocked(ipc::Encode(msg), options_.worker_command_timeout_ms);
+  Status s = WriteFrameLocked(ipc::Encode(msg), kCommandTimeoutMs);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     outstanding_.erase(slot);
@@ -371,7 +374,7 @@ Status ShardWorkerProxy::Checkpoint(
     checkpoints_[seq] = ticket;
   }
   Status s = WriteFrameLocked(ipc::Encode(ipc::CheckpointMsg{seq}),
-                              options_.worker_command_timeout_ms);
+                              kCommandTimeoutMs);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     checkpoints_.erase(seq);
@@ -648,7 +651,7 @@ void ShardWorkerProxy::ReaderLoop() {
         // here means the worker is doomed anyway — the heartbeat reaps it.
         Status write_status =
             WriteFrameLocked(ipc::Encode(ipc::DtdIdRespMsg{msg.dtd_url, id}),
-                             options_.worker_command_timeout_ms);
+                             kCommandTimeoutMs);
         (void)write_status;
         break;
       }

@@ -77,9 +77,11 @@ class ShardWorkerProxy : public ShardTransport {
   };
 
   /// Worker for shard `shard_index` of a pipeline built with `options`
-  /// (worker binary, heartbeat and command bounds, and the Hello frame's
-  /// knobs and fault plan); `replay_log` is shared by the whole fleet.
-  ShardWorkerProxy(size_t shard_index, const IngestPipeline::Options& options,
+  /// (worker binary, heartbeat bounds, and the Hello frame's knobs and
+  /// fault plan) and the pipeline's `classifier`; `replay_log` is shared by
+  /// the whole fleet.
+  ShardWorkerProxy(size_t shard_index, const SystemOptions& options,
+                   const warehouse::DomainClassifier* classifier,
                    std::shared_ptr<ReplayLog> replay_log,
                    Supervision supervision);
   /// Graceful stop: Shutdown frame, bounded wait for exit, SIGKILL fallback.
@@ -97,7 +99,7 @@ class ShardWorkerProxy : public ShardTransport {
   /// Expected deaths (this, the destructor) are not counted as crashes and
   /// do not fire on_down.
   void Stop() override;
-  /// The write is bounded by worker_command_timeout_ms — a wedged worker
+  /// The write is bounded by the command timeout — a wedged worker
   /// with a full socket buffer yields DeadlineExceeded here instead of
   /// blocking the scatter thread.
   Status Send(const std::shared_ptr<BatchState>& batch, size_t slot,
@@ -145,7 +147,7 @@ class ShardWorkerProxy : public ShardTransport {
   /// its CmdAck.
   Status Command(uint64_t seq, const std::string& payload);
   /// The one send-and-wait: writes `payload`, a request carrying `seq`, and
-  /// waits up to worker_command_timeout_ms for the reader to hand over the
+  /// waits up to the command timeout for the reader to hand over the
   /// worker's reply. Unavailable if the worker is or goes down,
   /// DeadlineExceeded ("<what> <seq> timed out") if no reply comes.
   Status Request(uint64_t seq, const std::string& payload, const char* what,
@@ -162,7 +164,8 @@ class ShardWorkerProxy : public ShardTransport {
   void JoinThreads();
 
   const size_t shard_index_;
-  const IngestPipeline::Options options_;
+  const SystemOptions options_;
+  const warehouse::DomainClassifier* const classifier_;
   const std::shared_ptr<ReplayLog> replay_log_;
   const Supervision supervision_;
   ipc::HelloMsg hello_;  // built once; every (re)spawn sends it

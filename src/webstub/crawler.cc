@@ -188,18 +188,6 @@ std::vector<FetchedDoc> Crawler::FetchAllDue(Timestamp now) {
   return out;
 }
 
-std::vector<FetchedDoc> Crawler::FetchBatch(
-    Timestamp now, size_t max_docs,
-    std::unordered_set<std::string>* attempted) {
-  std::vector<FetchedDoc> out;
-  while (out.size() < max_docs) {
-    auto doc = FetchNextInternal(now, attempted);
-    if (!doc.has_value()) break;
-    out.push_back(std::move(*doc));
-  }
-  return out;
-}
-
 std::vector<DocStatusEvent> Crawler::TakeEvents() {
   std::vector<DocStatusEvent> out;
   out.swap(events_);

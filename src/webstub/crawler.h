@@ -117,14 +117,6 @@ class Crawler {
   /// round — each URL is attempted at most once per call.
   std::vector<FetchedDoc> FetchAllDue(Timestamp now);
 
-  /// Batched FetchAllDue: at most `max_docs` documents per call, so the
-  /// caller can bound per-batch memory (the pipeline's batch mode).
-  /// `attempted` carries the round's attempted-URL set across calls — pass
-  /// the same (initially empty) set until FetchBatch returns empty, which
-  /// ends the round with FetchAllDue's exactly-once-per-URL guarantee.
-  std::vector<FetchedDoc> FetchBatch(Timestamp now, size_t max_docs,
-                                     std::unordered_set<std::string>* attempted);
-
   /// Doc-status transitions observed since the last call (drains the queue).
   std::vector<DocStatusEvent> TakeEvents();
 

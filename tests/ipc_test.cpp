@@ -805,9 +805,31 @@ TEST(ProcessModeTest, StatusReportListsWorkersOnlyInProcessMode) {
   auto monitor =
       XylemeMonitor::Open(&clock, IpcOptions(ShardMode::kProcess, 2, dir.path));
   ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
-  (*monitor)->ProcessFetch(testing::SweepUrl(0), testing::SweepBody(0, 1));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE((*monitor)
+                    ->Subscribe(testing::SweepSubText(i),
+                                "u" + std::to_string(i) + "@x")
+                    .ok());
+  }
+  // Second versions raise alerts on both workers.
+  for (int version = 1; version <= 2; ++version) {
+    std::vector<webstub::FetchedDoc> batch;
+    for (int j = 0; j < 6; ++j) {
+      batch.push_back(
+          {testing::SweepUrl(j), testing::SweepBody(j, version)});
+    }
+    (*monitor)->ProcessFetchBatch(batch);
+  }
 
   std::string report = (*monitor)->StatusReport();
+  // The matchers that ran are the workers'; the report counts what they
+  // matched.
+  const uint64_t alerts = (*monitor)->stats().alerts_raised;
+  EXPECT_GT(alerts, 0u);
+  EXPECT_NE(report.find("documents_matched=\"" + std::to_string(alerts) +
+                        "\""),
+            std::string::npos)
+      << report;
   EXPECT_NE(report.find("<Worker pid=\""), std::string::npos);
   EXPECT_NE(report.find("shard=\"0\""), std::string::npos);
   EXPECT_NE(report.find("shard=\"1\""), std::string::npos);
@@ -1167,15 +1189,14 @@ TEST(SharedBarrierTest, ContainedThrowsAccountAlikeOnThreadsAndWorkers) {
   EXPECT_EQ(threads.pipeline.stage_failures, 2u);
   EXPECT_EQ(threads.pipeline.poisoned_urls, 1u);
   EXPECT_EQ(threads.pipeline.poison_rejections, 2u);
-  EXPECT_EQ(threads.pipeline.failed_documents, 4u);
+  EXPECT_EQ(threads.stats.failed_documents, 4u);
 
   TempDir worker_dir("poison_workers");
   AccountingRun workers =
       RunPoisonWorkload(ShardMode::kProcess, worker_dir.path, poison);
   EXPECT_EQ(workers.mail, threads.mail);
   EXPECT_EQ(workers.stats, threads.stats);
-  EXPECT_EQ(workers.pipeline.failed_documents,
-            threads.pipeline.failed_documents);
+  EXPECT_EQ(workers.stats.failed_documents, threads.stats.failed_documents);
   EXPECT_EQ(workers.pipeline.stage_failures, threads.pipeline.stage_failures);
   EXPECT_EQ(workers.pipeline.poisoned_urls, threads.pipeline.poisoned_urls);
   EXPECT_EQ(workers.pipeline.poison_rejections,

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "src/manager/subscription_manager.h"
+#include "src/mqp/aes_matcher.h"
 
 namespace xymon::manager {
 namespace {
@@ -31,8 +34,11 @@ class ManagerTest : public ::testing::Test {
         query_engine_(&warehouse_),
         reporter_(&outbox_, &query_engine_),
         manager_(SubscriptionManager::Components{
-            &mqp_, &url_alerter_, &xml_alerter_, &html_alerter_, &pipeline_,
-            &trigger_engine_, &reporter_, &query_engine_, &clock_}) {}
+            {{&mqp_, &url_alerter_, &xml_alerter_, &html_alerter_, &pipeline_}},
+            &trigger_engine_,
+            &reporter_,
+            &query_engine_,
+            &clock_}) {}
 
   SimClock clock_;
   warehouse::Warehouse warehouse_;
@@ -238,10 +244,12 @@ TEST_F(ManagerTest, SubscribeAsHonorsUserPrivileges) {
   sublang::ValidatorOptions opts;
   opts.max_cost = 50;  // Hourly continuous queries cost far more.
   SubscriptionManager manager(
-      SubscriptionManager::Components{&mqp_, &url_alerter_, &xml_alerter_,
-                                      &html_alerter_, &pipeline_,
-                                      &trigger_engine_, &reporter_,
-                                      &query_engine_, &clock_},
+      SubscriptionManager::Components{
+          {{&mqp_, &url_alerter_, &xml_alerter_, &html_alerter_, &pipeline_}},
+          &trigger_engine_,
+          &reporter_,
+          &query_engine_,
+          &clock_},
       opts);
   manager.set_user_registry(&users);
 
@@ -262,6 +270,137 @@ report when immediate
   // Cheap subscriptions pass for everyone.
   auto cheap = manager.SubscribeAs("alice", kSimpleSub);
   EXPECT_TRUE(cheap.ok()) << cheap.status().ToString();
+}
+
+// One shard's detection structures, as the manager sees them.
+struct ReplicaStructures {
+  mqp::MonitoringQueryProcessor mqp;
+  alerters::UrlAlerter url_alerter;
+  alerters::XmlAlerter xml_alerter;
+  alerters::HtmlAlerter html_alerter;
+  alerters::AlertPipeline pipeline{&url_alerter, &xml_alerter, &html_alerter};
+
+  SubscriptionManager::DetectionReplica replica() {
+    return {&mqp, &url_alerter, &xml_alerter, &html_alerter, &pipeline};
+  }
+};
+
+/// Asserts that `got` holds the same matcher and alerter registrations as
+/// `want`, down to the AES structure.
+void ExpectSameStructures(const ReplicaStructures& got,
+                          const ReplicaStructures& want) {
+  EXPECT_EQ(got.mqp.matcher().size(), want.mqp.matcher().size());
+  EXPECT_EQ(got.url_alerter.condition_count(),
+            want.url_alerter.condition_count());
+  EXPECT_EQ(got.xml_alerter.condition_count(),
+            want.xml_alerter.condition_count());
+  EXPECT_EQ(got.html_alerter.condition_count(),
+            want.html_alerter.condition_count());
+  const auto* got_aes =
+      dynamic_cast<const mqp::AesMatcher*>(&got.mqp.matcher());
+  const auto* want_aes =
+      dynamic_cast<const mqp::AesMatcher*>(&want.mqp.matcher());
+  ASSERT_NE(got_aes, nullptr);
+  ASSERT_NE(want_aes, nullptr);
+  mqp::AesMatcher::StructureStats g = got_aes->CollectStructureStats();
+  mqp::AesMatcher::StructureStats w = want_aes->CollectStructureStats();
+  EXPECT_EQ(g.tables_per_level, w.tables_per_level);
+  EXPECT_EQ(g.cells_per_level, w.cells_per_level);
+  EXPECT_EQ(g.marks_per_level, w.marks_per_level);
+  EXPECT_EQ(g.max_depth, w.max_depth);
+  EXPECT_EQ(g.avg_substructure_cells, w.avg_substructure_cells);
+  EXPECT_EQ(g.max_substructure_cells, w.max_substructure_cells);
+}
+
+/// A manager fanning out to several detection replicas, as it does for a
+/// sharded pipeline.
+class ReplicatedManagerTest : public ::testing::Test {
+ protected:
+  ReplicatedManagerTest()
+      : query_engine_(&warehouse_), reporter_(&outbox_, &query_engine_) {
+    for (int i = 0; i < 2; ++i) {
+      replicas_.push_back(std::make_unique<ReplicaStructures>());
+    }
+    manager_ = std::make_unique<SubscriptionManager>(Components());
+  }
+
+  SubscriptionManager::Components Components() {
+    SubscriptionManager::Components components{
+        {}, &trigger_engine_, &reporter_, &query_engine_, &clock_};
+    for (auto& r : replicas_) components.replicas.push_back(r->replica());
+    return components;
+  }
+
+  SimClock clock_;
+  warehouse::Warehouse warehouse_;
+  trigger::TriggerEngine trigger_engine_;
+  reporter::Outbox outbox_;
+  query::QueryEngine query_engine_;
+  reporter::Reporter reporter_;
+  std::vector<std::unique_ptr<ReplicaStructures>> replicas_;
+  std::unique_ptr<SubscriptionManager> manager_;
+};
+
+TEST_F(ReplicatedManagerTest, FailedFanOutRollsBackTheReplicasItReached) {
+  // The manager's first complex event gets id 1. Replica 1 already holding
+  // it fails the fan-out after replica 0 accepted the registration.
+  ASSERT_TRUE(replicas_[1]->mqp.Register(1, {1, 2}).ok());
+
+  auto name = manager_->Subscribe(kSimpleSub, "u@x");
+  EXPECT_TRUE(name.status().IsAlreadyExists()) << name.status().ToString();
+  EXPECT_EQ(manager_->subscription_count(), 0u);
+  EXPECT_EQ(manager_->atomic_event_count(), 0u);
+  // Replica 0 is back to empty: no complex event, no URL or XML condition.
+  EXPECT_EQ(replicas_[0]->mqp.matcher().size(), 0u);
+  EXPECT_EQ(replicas_[0]->url_alerter.condition_count(), 0u);
+  EXPECT_EQ(replicas_[0]->xml_alerter.condition_count(), 0u);
+  // Replica 1 keeps only its own registration.
+  EXPECT_EQ(replicas_[1]->mqp.matcher().size(), 1u);
+  EXPECT_EQ(replicas_[1]->url_alerter.condition_count(), 0u);
+  EXPECT_EQ(replicas_[1]->xml_alerter.condition_count(), 0u);
+}
+
+TEST_F(ReplicatedManagerTest, RebindReplicaReplaysEveryLiveRegistration) {
+  // Super's event set extends Simple's, so Simple's AES cells stay on a live
+  // path when it is unsubscribed. (Erase only unlinks an event's mark and
+  // keeps its cells, which a rebuilt replica would not have.)
+  constexpr char kSuperSub[] = R"(
+subscription Super
+monitoring
+select default
+where URL extends "http://site.org/" and new Product and updated Product
+report when immediate
+)";
+  constexpr char kWordsSub[] = R"(
+subscription Words
+monitoring
+select default
+where URL extends "http://news.org/" and self contains "xyleme"
+report when immediate
+)";
+  ASSERT_TRUE(manager_->Subscribe(kSuperSub, "a@x").ok());
+  ASSERT_TRUE(manager_->Subscribe(kSimpleSub, "b@x").ok());
+  ASSERT_TRUE(manager_->Subscribe(kWordsSub, "c@x").ok());
+  ASSERT_TRUE(manager_->Unsubscribe("Simple").ok());
+  ASSERT_TRUE(manager_->Subscribe(kSimpleSub, "d@x").ok());
+  ASSERT_EQ(replicas_[0]->mqp.matcher().size(), 3u);
+  ASSERT_EQ(replicas_[0]->html_alerter.condition_count(), 1u);
+
+  ReplicaStructures fresh;
+  ASSERT_TRUE(manager_->RebindReplica(1, fresh.replica()).ok());
+  ExpectSameStructures(fresh, *replicas_[0]);
+
+  // Later registrations and retractions reach the rebound replica too.
+  // Both replicas hold Words' cells, so retracting it leaves them equal.
+  ASSERT_TRUE(manager_->Subscribe(kOtherSub, "e@x").ok());
+  ASSERT_TRUE(manager_->Unsubscribe("Words").ok());
+  EXPECT_EQ(replicas_[0]->mqp.matcher().size(), 3u);
+  EXPECT_EQ(replicas_[0]->html_alerter.condition_count(), 0u);
+  ExpectSameStructures(fresh, *replicas_[0]);
+
+  ReplicaStructures extra;
+  EXPECT_TRUE(manager_->RebindReplica(replicas_.size(), extra.replica())
+                  .IsInvalidArgument());
 }
 
 class ManagerPersistenceTest : public ::testing::Test {
@@ -294,7 +433,7 @@ TEST_F(ManagerPersistenceTest, SubscriptionsSurviveRestart) {
     query::QueryEngine qe(&wh);
     reporter::Reporter rep(&outbox, &qe);
     SubscriptionManager mgr(SubscriptionManager::Components{
-        &mqp, &url, &xml, &html, &pipeline, &te, &rep, &qe, &clock});
+        {{&mqp, &url, &xml, &html, &pipeline}}, &te, &rep, &qe, &clock});
     ASSERT_TRUE(mgr.AttachStorage(path).ok());
     ASSERT_TRUE(mgr.Subscribe(kSimpleSub, "a@x").ok());
     ASSERT_TRUE(mgr.Subscribe(kOtherSub, "b@x").ok());
@@ -315,7 +454,7 @@ TEST_F(ManagerPersistenceTest, SubscriptionsSurviveRestart) {
   query::QueryEngine qe(&wh);
   reporter::Reporter rep(&outbox, &qe);
   SubscriptionManager mgr(SubscriptionManager::Components{
-      &mqp, &url, &xml, &html, &pipeline, &te, &rep, &qe, &clock});
+      {{&mqp, &url, &xml, &html, &pipeline}}, &te, &rep, &qe, &clock});
   ASSERT_TRUE(mgr.AttachStorage(path).ok());
   EXPECT_EQ(mgr.subscription_count(), 1u);
   EXPECT_EQ(mqp.matcher().size(), 1u);

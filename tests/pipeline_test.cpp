@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <mutex>
 #include <random>
+#include <regex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "gate_env.h"
 #include "src/storage/env.h"
 #include "src/system/monitor.h"
+#include "src/system/stage_faults.h"
 #include "src/webstub/crawler.h"
 
 namespace xymon::system {
@@ -215,6 +217,53 @@ TEST(PipelineStatsTest, StageCountersTrackTheFlow) {
   EXPECT_NE(status.find("<Pipeline"), std::string::npos);
   EXPECT_NE(status.find("\"ingest\""), std::string::npos);
   EXPECT_NE(status.find("\"notify\""), std::string::npos);
+}
+
+// The operator report, pinned byte for byte: two thread shards, one
+// subscription, four batches and one contained detect-stage throw, so the
+// <Shard> rows, the <Stage> rows and both failed_documents attributes carry
+// non-trivial values. `micros` and `queue_high_water` depend on thread
+// timing and are masked.
+TEST(PipelineStatsTest, StatusReportIsPinned) {
+  const std::string faulty = "http://w1.example.org/doc1.xml";
+  StageFaultInjector injector(StageFaultPlan{
+      {{StageKind::kDetect, faulty, 2, StageFaultKind::kThrow}}});
+  SimClock clock(1000);
+  XylemeMonitor::Options options;
+  options.num_shards = 2;
+  options.stage_faults = &injector;
+  XylemeMonitor monitor(&clock, options);
+  ASSERT_TRUE(monitor.Subscribe(kWatchAll, "all@example.org").ok());
+  for (const auto& batch : GenerateBatches(/*rounds=*/4, /*urls=*/10)) {
+    monitor.ProcessFetchBatch(batch);
+    clock.Advance(kHour);
+    monitor.Tick();
+  }
+  ASSERT_EQ(monitor.stats().failed_documents, 1u);
+
+  const std::string report = std::regex_replace(
+      monitor.StatusReport(),
+      std::regex(R"re((micros|queue_high_water)="[0-9]+")re"), "$1=\"*\"");
+  EXPECT_EQ(report, R"(<XylemeStatus date="1970-01-01 04:16:40">
+  <DocumentFlow processed="33" alerts="33" notifications="23"/>
+  <Warehouse documents="10" shards="2"/>
+  <Subscriptions count="1" atomic_events="2"/>
+  <MQP algorithm="aes" complex_events="1" memory_bytes="65604" documents_matched="33"/>
+  <TriggerEngine triggers="0" firings="0"/>
+  <Reporter received="23" reports="23" dropped="0"/>
+  <Outbox sent="23" queued="0"/>
+  <WebPortal published="0"/>
+  <Pipeline shards="2" batches="4" documents="34" queue_high_water="*" failed_documents="1" stage_failures="1" deadline_exceeded="0" shard_restarts="0" backpressure_waits="0">
+    <Shard index="0" health="degraded" restarts="0" stage_failures="1" deadline_failures="0"/>
+    <Shard index="1" health="healthy" restarts="0" stage_failures="0" deadline_failures="0"/>
+    <Stage name="ingest" documents="34" micros="*"/>
+    <Stage name="detect" documents="34" micros="*"/>
+    <Stage name="match" documents="33" micros="*"/>
+    <Stage name="notify" documents="23" micros="*"/>
+  </Pipeline>
+  <Health fetch_errors="0" retries="0" quarantined_urls="0" degraded_documents="0" disappeared="0" reappeared="0" failed_documents="1" poison_rejections="0" shard_restarts="0"/>
+</XylemeStatus>
+)");
 }
 
 TEST(PipelineRecoveryTest, ShardedWarehousePartitionsRecoverAcrossReopen) {
