@@ -38,7 +38,7 @@ namespace xymon::ipc {
 
 /// "XYMW" — first field of the handshake frame.
 inline constexpr uint32_t kWireMagic = 0x58594D57;
-inline constexpr uint32_t kWireVersion = 1;
+inline constexpr uint32_t kWireVersion = 2;
 /// Frame-length cap, mirroring storage::kMaxLogRecordLen: a corrupt length
 /// field cannot drive an unbounded allocation.
 inline constexpr uint32_t kMaxFrameLen = 64u << 20;  // 64 MiB
@@ -301,18 +301,14 @@ struct SlotMsg {
   }
 };
 
-/// system::DeliveryAction over the wire.
+/// system::DeliveryAction over the wire: the binding id (the worker's and
+/// the supervisor's managers assign the same ones, DESIGN.md §14) and an
+/// index into SlotResultMsg::payloads.
 struct WireAction {
-  uint8_t kind = 0;  // DeliveryAction::Kind
-  std::string subscription;
-  std::string query_name;
-  std::string payload_xml;
-  std::string event_key;
+  uint32_t binding = 0;
+  uint32_t payload = 0;
 
-  static auto Fields(auto& m) {
-    return std::tie(m.kind, m.subscription, m.query_name, m.payload_xml,
-                    m.event_key);
-  }
+  static auto Fields(auto& m) { return std::tie(m.binding, m.payload); }
 };
 
 struct WireStageDelta {
@@ -333,6 +329,8 @@ struct SlotResultMsg {
   std::string failed_stage;
   uint8_t status_code = 0;
   std::string status_message;
+  /// Each distinct payload string of the slot, once.
+  std::vector<std::string> payloads;
   std::vector<WireAction> actions;
   WireStageDelta ingest, detect, match, notify;
   /// Worker warehouse size after the slot (keeps the supervisor's
@@ -342,8 +340,8 @@ struct SlotResultMsg {
   static auto Fields(auto& m) {
     return std::tie(m.batch, m.slot, m.processed, m.degraded, m.alert,
                     m.failed, m.failed_stage, m.status_code, m.status_message,
-                    m.actions, m.ingest, m.detect, m.match, m.notify,
-                    m.document_count);
+                    m.payloads, m.actions, m.ingest, m.detect, m.match,
+                    m.notify, m.document_count);
   }
 };
 

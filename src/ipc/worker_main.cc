@@ -18,6 +18,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -262,14 +264,22 @@ class WorkerRuntime {
     result.failed_stage = std::move(out.failed_stage);
     result.status_code = static_cast<uint8_t>(out.status.code());
     result.status_message = out.status.message();
-    for (system::DeliveryAction& action : out.actions) {
-      WireAction wa;
-      wa.kind = static_cast<uint8_t>(action.kind);
-      wa.subscription = std::move(action.subscription);
-      wa.query_name = std::move(action.query_name);
-      wa.payload_xml = action.payload.xml();
-      wa.event_key = std::move(action.event_key);
-      result.actions.push_back(std::move(wa));
+    // Each payload string once: the resolver shares one object among the
+    // subscribers of a recipe, and different objects may still hold equal
+    // strings. Only distinct objects are hashed by their text.
+    std::unordered_map<const void*, uint32_t> by_object;
+    std::unordered_map<std::string_view, uint32_t> by_text;
+    result.actions.reserve(out.actions.size());
+    for (const system::DeliveryAction& action : out.actions) {
+      const reporter::Payload& payload = action.payload;
+      auto [object, fresh] = by_object.try_emplace(payload.identity(), 0);
+      if (fresh) {
+        const auto next = static_cast<uint32_t>(result.payloads.size());
+        auto [text, new_text] = by_text.try_emplace(payload.xml(), next);
+        if (new_text) result.payloads.push_back(payload.xml());
+        object->second = text->second;
+      }
+      result.actions.push_back(WireAction{action.binding, object->second});
     }
     auto delta = [](const system::StageCounters& before,
                     const system::StageCounters& after) {

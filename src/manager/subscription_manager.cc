@@ -186,7 +186,6 @@ Status SubscriptionManager::RegisterComplex(mqp::ComplexEventId id,
       return st;
     }
   }
-  complex_defs_[id] = events;
   return Status::OK();
 }
 
@@ -194,8 +193,27 @@ void SubscriptionManager::UnregisterComplex(mqp::ComplexEventId id) {
   for (const DetectionReplica& r : components_.replicas) {
     (void)r.mqp->Unregister(id);
   }
-  complex_defs_.erase(id);
 }
+
+namespace {
+
+/// The transient complex event RetraceComplex registers and drops at once.
+constexpr mqp::ComplexEventId kRetraceId = mqp::kNoComplexEvent - 1;
+
+// AesMatcher::Insert checks a table's load before it looks a code up, so an
+// insert along an existing path may still grow a table, and a table's
+// capacity fixes the order its cells are enumerated in. Registering a shared
+// set once more, transiently, for each binding it gains keeps every table's
+// growth — and so the match order — what it was when each binding was its
+// own complex event.
+void RetraceComplex(const mqp::EventSet& events,
+                    const SubscriptionManager::DetectionReplica& r) {
+  if (r.mqp->Register(kRetraceId, events).ok()) {
+    (void)r.mqp->Unregister(kRetraceId);
+  }
+}
+
+}  // namespace
 
 Status SubscriptionManager::RebindReplica(size_t shard_index,
                                           const DetectionReplica& replica) {
@@ -225,13 +243,18 @@ Status SubscriptionManager::RebindReplica(size_t shard_index,
         RegisterOnReplica(entry->code, entry->condition, replica));
   }
 
-  std::vector<std::pair<mqp::ComplexEventId, const mqp::EventSet*>> defs;
-  defs.reserve(complex_defs_.size());
-  for (const auto& [id, events] : complex_defs_) defs.emplace_back(id, &events);
-  std::sort(defs.begin(), defs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [id, events] : defs) {
-    XYMON_RETURN_IF_ERROR(replica.mqp->Register(id, *events));
+  // One registration per live binding, oldest first: a set's first binding
+  // registers it, the others retrace its path (see RetraceComplex).
+  std::vector<uint8_t> registered(sets_.size(), 0);
+  for (const std::optional<QueryBinding>& binding : bindings_) {
+    if (!binding.has_value()) continue;
+    const mqp::ComplexEventId id = binding->complex_event;
+    if (registered[id] != 0) {
+      RetraceComplex(sets_[id].events, replica);
+      continue;
+    }
+    XYMON_RETURN_IF_ERROR(replica.mqp->Register(id, sets_[id].events));
+    registered[id] = 1;
   }
   return Status::OK();
 }
@@ -246,7 +269,7 @@ Result<mqp::AtomicEvent> SubscriptionManager::AcquireCode(
     return it->second.code;
   }
 
-  mqp::AtomicEvent code = next_code_++;
+  mqp::AtomicEvent code = next_.code++;
   // Route the new condition to its alerter(s) on every shard (paper §3: the
   // manager "dynamically warns the Alerters of the creation of new events").
   XYMON_RETURN_IF_ERROR(RegisterCondition(code, condition));
@@ -264,8 +287,91 @@ void SubscriptionManager::ReleaseCode(const std::string& key) {
   codes_.erase(it);
 }
 
+RecipeId SubscriptionManager::AcquireRecipe(PayloadRecipe recipe) {
+  auto [it, fresh] = recipe_ids_.try_emplace(recipe.key, 0);
+  if (!fresh) {
+    ++recipes_[it->second].refcount;
+    return it->second;
+  }
+  RecipeId id = static_cast<RecipeId>(recipes_.size());
+  if (!free_recipes_.empty()) {
+    id = free_recipes_.back();
+    free_recipes_.pop_back();
+  } else {
+    recipes_.emplace_back();
+  }
+  recipes_[id] = RecipeEntry{std::move(recipe), 1};
+  it->second = id;
+  return id;
+}
+
+void SubscriptionManager::ReleaseRecipe(RecipeId id) {
+  RecipeEntry& entry = recipes_[id];
+  if (--entry.refcount > 0) return;
+  recipe_ids_.erase(entry.recipe.key);
+  entry = RecipeEntry{};
+  free_recipes_.push_back(id);
+}
+
+Status SubscriptionManager::AddBinding(QueryBinding binding,
+                                       const mqp::EventSet& events,
+                                       PayloadRecipe recipe,
+                                       SubRecord* record) {
+  auto [it, fresh] = set_ids_.try_emplace(events, next_.complex);
+  const mqp::ComplexEventId id = it->second;
+  if (fresh) {
+    Status st = RegisterComplex(id, events);
+    if (!st.ok()) {
+      set_ids_.erase(it);
+      return st;
+    }
+    ++next_.complex;
+    if (sets_.size() <= id) sets_.resize(id + 1);
+    sets_[id].events = events;
+  } else {
+    for (const DetectionReplica& r : components_.replicas) {
+      RetraceComplex(events, r);
+    }
+  }
+  const BindingId bid = next_.binding++;
+  binding.complex_event = id;
+  binding.recipe = AcquireRecipe(std::move(recipe));
+  binding.listened = listeners_.count(binding.trigger_key) != 0;
+  if (bindings_.size() <= bid) bindings_.resize(bid + 1);
+  bindings_[bid] = std::move(binding);
+  // Newest first: AesMatcher::Insert pushes a mark at the head of its cell's
+  // chain, so this is the order separate complex events had.
+  std::vector<BindingId>& list = sets_[id].bindings;
+  list.insert(list.begin(), bid);
+  record->bindings.push_back(bid);
+  return Status::OK();
+}
+
+void SubscriptionManager::RemoveBinding(BindingId id) {
+  std::optional<QueryBinding>& slot = bindings_[id];
+  const mqp::ComplexEventId set_id = slot->complex_event;
+  ReleaseRecipe(slot->recipe);
+  slot.reset();
+  InternedSet& set = sets_[set_id];
+  std::erase(set.bindings, id);
+  if (!set.bindings.empty()) return;
+  UnregisterComplex(set_id);
+  set_ids_.erase(set.events);
+  set = InternedSet{};
+}
+
+void SubscriptionManager::MarkListened(const std::string& subscription,
+                                       const std::string& query,
+                                       bool listened) {
+  auto it = subs_.find(subscription);
+  if (it == subs_.end()) return;  // flagged when it subscribes
+  for (BindingId id : it->second.bindings) {
+    if (bindings_[id]->query_name == query) bindings_[id]->listened = listened;
+  }
+}
+
 Status SubscriptionManager::WireContinuousQuery(
-    const std::string& sub_name, const sublang::ContinuousQueryAst& cq,
+    const sublang::ContinuousQueryAst& cq, uint32_t report_index,
     SubRecord* record) {
   auto parsed = query::ParseQuery(cq.name, cq.query_text);
   if (!parsed.ok()) {
@@ -283,9 +389,9 @@ Status SubscriptionManager::WireContinuousQuery(
 
   auto* engine = components_.query_engine;
   auto* rep = components_.reporter;
-  std::string cq_name = cq.name;
-  auto action = [engine, rep, shared_query, tracker, sub_name,
-                 cq_name](Timestamp now) {
+  const uint32_t ordinal = rep->QueryOrdinal(report_index, cq.name);
+  auto action = [engine, rep, shared_query, tracker, report_index,
+                 ordinal](Timestamp now) {
     auto result = engine->Evaluate(*shared_query);
     if (!result.ok()) return;
     std::unique_ptr<xml::Node> payload = std::move(result).value();
@@ -293,8 +399,7 @@ Status SubscriptionManager::WireContinuousQuery(
       payload = tracker->Update(std::move(payload));
       if (payload == nullptr) return;  // Result unchanged: nothing to report.
     }
-    rep->AddNotification(reporter::Notification{
-        sub_name, cq_name, xml::Serialize(*payload), now});
+    rep->AddNotification(report_index, ordinal, xml::Serialize(*payload), now);
   };
 
   trigger::TriggerEngine::TriggerId id;
@@ -303,23 +408,40 @@ Status SubscriptionManager::WireContinuousQuery(
         components_.clock->Now(), sublang::FrequencyPeriod(*cq.frequency),
         std::move(action));
   } else {
-    id = components_.trigger_engine->AddNotificationTrigger(
-        cq.trigger_subscription + "." + cq.trigger_query, std::move(action));
+    std::string key = cq.trigger_subscription + "." + cq.trigger_query;
+    if (++listeners_[key] == 1) {
+      MarkListened(cq.trigger_subscription, cq.trigger_query, true);
+    }
+    record->listens.emplace_back(cq.trigger_subscription, cq.trigger_query);
+    id = components_.trigger_engine->AddNotificationTrigger(key,
+                                                            std::move(action));
   }
   record->triggers.push_back(id);
   return Status::OK();
 }
 
-void SubscriptionManager::RollbackSubscription(SubRecord* record) {
-  for (mqp::ComplexEventId id : record->complex_events) {
-    UnregisterComplex(id);
-    bindings_.erase(id);
+void SubscriptionManager::RollbackSubscription(const std::string& name,
+                                               SubRecord* record) {
+  // Newest first, so the recipe free list ends as it was before the call.
+  for (auto it = record->bindings.rbegin(); it != record->bindings.rend();
+       ++it) {
+    RemoveBinding(*it);
   }
+  record->bindings.clear();
   for (const std::string& key : record->condition_keys) {
     ReleaseCode(key);
   }
   for (trigger::TriggerEngine::TriggerId id : record->triggers) {
     (void)components_.trigger_engine->Remove(id);
+  }
+  for (const auto& [subscription, query] : record->listens) {
+    auto it = listeners_.find(subscription + "." + query);
+    if (--it->second > 0) continue;
+    listeners_.erase(it);
+    MarkListened(subscription, query, false);
+  }
+  if (record->reported) {
+    (void)components_.reporter->RemoveSubscription(name);
   }
 }
 
@@ -344,7 +466,9 @@ Result<std::string> SubscriptionManager::SubscribeInternal(
     }
   }
 
-  SubRecord record;
+  // The record joins subs_ now, so the registration steps below find it
+  // like any other; a failure erases it again.
+  SubRecord& record = subs_[ast.name];
   // Recovery passes the whole recipient list as a comma-joined string.
   for (const std::string& r : Split(email, ',')) {
     if (!r.empty()) record.recipients.push_back(r);
@@ -357,50 +481,46 @@ Result<std::string> SubscriptionManager::SubscribeInternal(
     record.query_names.push_back(cq.name);
   }
 
-  // 1. Monitoring queries -> atomic codes + complex events, one complex
-  // event per disjunct of the where clause.
+  // A failure past this point rolls back what the call registered and
+  // restores every id counter it advanced.
+  const IdCounters ids_before = next_;
+  auto fail = [&](Status st) {
+    RollbackSubscription(ast.name, &record);
+    subs_.erase(ast.name);
+    next_ = ids_before;
+    return st;
+  };
+
+  // 1. Monitoring queries -> atomic codes + one binding per disjunct of the
+  // where clause, listed under the interned complex event of its event set.
   std::map<std::string, uint64_t> query_ids;
   for (const sublang::MonitoringQueryAst& mq : ast.monitoring) {
-    auto [query_id, fresh] = query_ids.try_emplace(mq.name, next_query_id_);
-    if (fresh) ++next_query_id_;
+    auto [query_id, fresh] = query_ids.try_emplace(mq.name, next_.query);
+    if (fresh) ++next_.query;
     for (const auto& disjunct : mq.disjuncts) {
       mqp::EventSet events;
       for (const Condition& condition : disjunct) {
         auto code = AcquireCode(condition, &record);
-        if (!code.ok()) {
-          RollbackSubscription(&record);
-          return code.status();
-        }
+        if (!code.ok()) return fail(code.status());
         events.push_back(*code);
       }
       std::sort(events.begin(), events.end());
       events.erase(std::unique(events.begin(), events.end()), events.end());
 
-      mqp::ComplexEventId complex_id = next_complex_++;
-      Status st = RegisterComplex(complex_id, events);
-      if (!st.ok()) {
-        RollbackSubscription(&record);
-        return st;
-      }
-      record.complex_events.push_back(complex_id);
-      bindings_.emplace(complex_id,
-                        QueryBinding{ast.name, mq.name, query_id->second,
-                                     ast.name + "." + mq.name,
-                                     MakePayloadRecipe(mq, disjunct)});
+      QueryBinding binding;
+      binding.subscription = ast.name;
+      binding.query_name = mq.name;
+      binding.trigger_key = ast.name + "." + mq.name;
+      binding.query_id = query_id->second;
+      Status st = AddBinding(std::move(binding), events,
+                             MakePayloadRecipe(mq, disjunct), &record);
+      if (!st.ok()) return fail(st);
     }
   }
 
-  // 2. Continuous queries -> trigger engine.
-  for (const sublang::ContinuousQueryAst& cq : ast.continuous) {
-    Status st = WireContinuousQuery(ast.name, cq, &record);
-    if (!st.ok()) {
-      RollbackSubscription(&record);
-      return st;
-    }
-  }
-
-  // 3. Report registration (virtual-only subscriptions default to
-  // immediate delivery).
+  // 2. Report registration (virtual-only subscriptions default to
+  // immediate delivery). Each binding learns its subscription's reporter
+  // slot and its query's ordinal there.
   sublang::ReportSpec spec;
   if (ast.report.has_value()) {
     spec = *ast.report;
@@ -409,11 +529,27 @@ Result<std::string> SubscriptionManager::SubscribeInternal(
     atom.kind = sublang::ReportCondition::Atom::Kind::kImmediate;
     spec.when.atoms.push_back(atom);
   }
-  Status st = components_.reporter->AddSubscription(
-      ast.name, spec, record.recipients, components_.clock->Now());
-  if (!st.ok()) {
-    RollbackSubscription(&record);
-    return st;
+  auto report_index = components_.reporter->AddSubscription(
+      ast.name, spec, record.recipients, components_.clock->Now(),
+      record.query_names);
+  if (!report_index.ok()) return fail(report_index.status());
+  record.reported = true;
+  for (BindingId id : record.bindings) {
+    QueryBinding& binding = *bindings_[id];
+    binding.report_index = *report_index;
+    binding.query_ordinal =
+        components_.reporter->QueryOrdinal(*report_index, binding.query_name);
+    binding.shares_query =
+        std::count_if(record.bindings.begin(), record.bindings.end(),
+                      [&](BindingId other) {
+                        return bindings_[other]->query_id == binding.query_id;
+                      }) > 1;
+  }
+
+  // 3. Continuous queries -> trigger engine.
+  for (const sublang::ContinuousQueryAst& cq : ast.continuous) {
+    Status st = WireContinuousQuery(cq, *report_index, &record);
+    if (!st.ok()) return fail(st);
   }
 
   // 4. Virtual listeners.
@@ -436,16 +572,10 @@ Result<std::string> SubscriptionManager::SubscribeInternal(
   // 6. Durability.
   if (persist && store_ != nullptr) {
     Status put = store_->Put(ast.name, Join(record.recipients, ",") + "\n" + text);
-    if (!put.ok()) {
-      (void)components_.reporter->RemoveSubscription(ast.name);
-      RollbackSubscription(&record);
-      return put;
-    }
+    if (!put.ok()) return fail(put);
   }
 
-  std::string name = ast.name;
-  subs_.emplace(name, std::move(record));
-  return name;
+  return ast.name;
 }
 
 Status SubscriptionManager::Unsubscribe(const std::string& name) {
@@ -453,8 +583,7 @@ Status SubscriptionManager::Unsubscribe(const std::string& name) {
   if (it == subs_.end()) {
     return Status::NotFound("subscription '" + name + "'");
   }
-  RollbackSubscription(&it->second);
-  (void)components_.reporter->RemoveSubscription(name);
+  RollbackSubscription(name, &it->second);
   if (store_ != nullptr) {
     XYMON_RETURN_IF_ERROR(store_->Delete(name));
   }
@@ -528,12 +657,6 @@ const std::string* SubscriptionManager::subscription_text(
     const std::string& name) const {
   auto it = subs_.find(name);
   return it == subs_.end() ? nullptr : &it->second.text;
-}
-
-const QueryBinding* SubscriptionManager::FindBinding(
-    mqp::ComplexEventId id) const {
-  auto it = bindings_.find(id);
-  return it == bindings_.end() ? nullptr : &it->second;
 }
 
 bool SubscriptionManager::HasQuery(const std::string& subscription,

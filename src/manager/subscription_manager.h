@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -23,11 +24,17 @@
 
 namespace xymon::manager {
 
+/// Dense ids the manager hands out at registration (DESIGN.md §15). A
+/// binding id names one (subscription, disjunct) from the match to the mail;
+/// a recipe id names one distinct payload recipe.
+using BindingId = uint32_t;
+using RecipeId = uint32_t;
+
 /// What a monitoring query's notification payloads are built from: exactly
 /// the binding fields BindingResolver reads, so bindings with equal recipes
 /// get identical payloads for one document, and the resolver builds them
 /// once per document however many subscribers share them (DESIGN.md §15).
-/// Fixed at registration.
+/// Fixed at registration, and interned: equal recipes share one RecipeId.
 struct PayloadRecipe {
   /// kDefault also stands for a variable select without a from clause: both
   /// yield the alert's info_xml.
@@ -43,19 +50,33 @@ struct PayloadRecipe {
   std::string key;
 };
 
-/// What the system needs to know when a complex event fires: which
-/// subscription/query it belongs to and how to build the notification
-/// payload, all precomputed at registration.
+/// One disjunct of one subscription's monitoring query: what the system
+/// needs when its event set fires, all fixed at registration. The resolver
+/// reads the recipe and the dedup identity; delivery reads the reporter
+/// slot, the query ordinal and the trigger flag, which come first to share
+/// a cache line. No string of it is read per notification.
 struct QueryBinding {
-  std::string subscription;
-  std::string query_name;
+  /// The subscription's slot in the Reporter and this query's ordinal there.
+  uint32_t report_index = 0;
+  uint32_t query_ordinal = 0;
+  /// Some continuous query waits on trigger_key (a notification trigger
+  /// registered before or after this binding); only then does a match raise
+  /// a trigger event.
+  bool listened = false;
+  /// Another binding has the same query_id, so a document may match both;
+  /// only such bindings need the per-document dedup.
+  bool shares_query = false;
+  RecipeId recipe = 0;
   /// The dedup identity, one per (subscription, query name): the disjuncts
   /// of one query share it, and so do same-named queries of one
   /// subscription — a document notifies each at most once.
   uint64_t query_id = 0;
+  /// The interned event set this binding is listed under.
+  mqp::ComplexEventId complex_event = mqp::kNoComplexEvent;
+  std::string subscription;
+  std::string query_name;
   /// "subscription.query_name", the event continuous queries wait on.
   std::string trigger_key;
-  PayloadRecipe recipe;
 };
 
 /// The (Xyleme) Subscription Manager (paper §3): "chooses the internal codes
@@ -68,7 +89,9 @@ struct QueryBinding {
 /// subscriptions monitoring the same URL prefix share one code (and one
 /// entry in the alerter structures) — the paper's implicit factorization.
 /// Codes are refcounted so Unsubscribe retracts exactly the conditions no
-/// longer needed.
+/// longer needed. Complex events are deduplicated the same way: each
+/// distinct sorted EventSet is one complex event in the MQP, listing the
+/// bindings — one per (subscription, disjunct) — that it stands for.
 ///
 /// Persistence: AttachStorage() opens the recovery log (the paper's MySQL
 /// substitute) and replays stored subscriptions; every Subscribe /
@@ -151,14 +174,29 @@ class SubscriptionManager {
   /// replays every live registration into it — the subscription half of a
   /// pipeline shard restart (DESIGN.md §13). `shard_index` indexes
   /// Components::replicas. Replay order is deterministic (condition
-  /// codes ascending, then complex events ascending — the order the
-  /// structures were originally built in, since codes are allocated
+  /// codes ascending, then the live bindings ascending by id, each set
+  /// registered at its first binding and retraced at the others — the
+  /// order the structures were originally built in, since ids are allocated
   /// monotonically), so a restarted shard's detection structures match a
   /// never-restarted clone's. The caller quiesces the document flow.
   Status RebindReplica(size_t shard_index, const DetectionReplica& replica);
 
-  /// Binding for a fired complex event; nullptr if unknown.
-  const QueryBinding* FindBinding(mqp::ComplexEventId id) const;
+  /// The bindings listed under interned complex event `id`, newest first —
+  /// the order the marks of one event set had when each binding was its own
+  /// complex event. Empty for an unknown id.
+  std::span<const BindingId> BindingsOf(mqp::ComplexEventId id) const {
+    if (id >= sets_.size()) return {};
+    return sets_[id].bindings;
+  }
+
+  /// A live binding; nullptr for an unknown id.
+  const QueryBinding* binding(BindingId id) const {
+    return id < bindings_.size() && bindings_[id].has_value() ? &*bindings_[id]
+                                                               : nullptr;
+  }
+
+  /// The recipe behind a live binding's RecipeId.
+  const PayloadRecipe& recipe(RecipeId id) const { return recipes_[id].recipe; }
 
   /// True if `subscription` has a (monitoring or continuous) query named
   /// `query` — target validation for virtual subscriptions.
@@ -208,14 +246,36 @@ class SubscriptionManager {
     mqp::AtomicEvent code;
     uint32_t refcount;
   };
+  /// One distinct sorted EventSet, registered once on every replica under
+  /// its own complex id, with the bindings it stands for.
+  struct InternedSet {
+    mqp::EventSet events;
+    std::vector<BindingId> bindings;  // newest first; empty = not live
+  };
+  struct RecipeEntry {
+    PayloadRecipe recipe;
+    uint32_t refcount = 0;
+  };
   struct SubRecord {
     std::vector<std::string> recipients;
     std::string text;
     std::vector<std::string> query_names;  // monitoring + continuous
-    std::vector<mqp::ComplexEventId> complex_events;
+    std::vector<BindingId> bindings;
     std::vector<std::string> condition_keys;  // one per acquired reference
     std::vector<trigger::TriggerEngine::TriggerId> triggers;
     std::vector<std::shared_ptr<query::DeltaTracker>> trackers;
+    /// (subscription, query) pairs its continuous queries wait on.
+    std::vector<std::pair<std::string, std::string>> listens;
+    bool reported = false;  // registered with the reporter
+  };
+  /// Every id counter a Subscribe advances. A failed Subscribe restores it,
+  /// so ids are a function of the successful command sequence alone — the
+  /// sequence a worker's replay log reproduces (DESIGN.md §14).
+  struct IdCounters {
+    mqp::AtomicEvent code;
+    mqp::ComplexEventId complex;
+    uint64_t query;
+    BindingId binding;
   };
 
   Result<std::string> SubscribeInternal(const std::string& text,
@@ -233,22 +293,38 @@ class SubscriptionManager {
   Result<mqp::AtomicEvent> AcquireCode(const alerters::Condition& condition,
                                        SubRecord* record);
   void ReleaseCode(const std::string& key);
-  Status WireContinuousQuery(const std::string& sub_name,
-                             const sublang::ContinuousQueryAst& cq,
-                             SubRecord* record);
-  void RollbackSubscription(SubRecord* record);
+  /// Lists `binding` under the interned entry of `events`, registering the
+  /// set on every replica when it first appears.
+  Status AddBinding(QueryBinding binding, const mqp::EventSet& events,
+                    PayloadRecipe recipe, SubRecord* record);
+  /// Unlists a binding; the set is unregistered with its last binding.
+  void RemoveBinding(BindingId id);
+  RecipeId AcquireRecipe(PayloadRecipe recipe);
+  void ReleaseRecipe(RecipeId id);
+  /// Sets `listened` on the bindings of `subscription`'s query `query`.
+  void MarkListened(const std::string& subscription, const std::string& query,
+                    bool listened);
+  Status WireContinuousQuery(const sublang::ContinuousQueryAst& cq,
+                             uint32_t report_index, SubRecord* record);
+  void RollbackSubscription(const std::string& name, SubRecord* record);
 
   Components components_;
   sublang::ValidatorOptions validator_options_;
   std::unordered_map<std::string, CodeEntry> codes_;
-  mqp::AtomicEvent next_code_ = 1;
-  mqp::ComplexEventId next_complex_ = 1;
-  uint64_t next_query_id_ = 1;
+  IdCounters next_{1, 1, 1, 0};
   std::map<std::string, SubRecord> subs_;
-  std::unordered_map<mqp::ComplexEventId, QueryBinding> bindings_;
-  /// The EventSet each live complex event was registered with — kept so
-  /// RebindReplica can replay registrations into a restarted shard's MQP.
-  std::unordered_map<mqp::ComplexEventId, mqp::EventSet> complex_defs_;
+  /// Interned complex events, indexed by complex id. An Unsubscribe never
+  /// hands an id back, so a retracted set's slot stays empty; only a failed
+  /// Subscribe rewinds the counters. RebindReplica replays the live ones
+  /// into a restarted shard's MQP.
+  std::vector<InternedSet> sets_;
+  std::map<mqp::EventSet, mqp::ComplexEventId> set_ids_;
+  std::vector<std::optional<QueryBinding>> bindings_;  // by BindingId
+  std::vector<RecipeEntry> recipes_;                   // by RecipeId
+  std::vector<RecipeId> free_recipes_;
+  std::unordered_map<std::string, RecipeId> recipe_ids_;  // by recipe key
+  /// Notification triggers per trigger key ("subscription.query").
+  std::unordered_map<std::string, uint32_t> listeners_;
   std::map<std::string, Timestamp> refresh_hints_;
   std::optional<storage::PersistentMap> owned_store_;
   storage::PersistentMap* store_ = nullptr;

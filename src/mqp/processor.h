@@ -24,12 +24,12 @@ struct AlertMessage {
   std::string info_xml;
 };
 
-/// One detected complex event for one document.
+/// One detected complex event for one document. It refers to its alert
+/// instead of copying the URL and info XML: the caller of Process keeps the
+/// alert alive while the notifications are read.
 struct MqpNotification {
   ComplexEventId complex_event = kNoComplexEvent;
-  uint64_t docid = 0;
-  std::string url;
-  std::string info_xml;
+  const AlertMessage* alert = nullptr;
 };
 
 /// The Monitoring Query Processor proper: a Matcher plus the notification
@@ -49,14 +49,13 @@ class MonitoringQueryProcessor {
   Status Unregister(ComplexEventId id) { return matcher_->Erase(id); }
 
   /// Matches the alert and appends one notification per detected complex
-  /// event to `out`.
+  /// event to `out`, each pointing at `alert`.
   void Process(const AlertMessage& alert,
                std::vector<MqpNotification>* out) const {
     scratch_.clear();
     matcher_->Match(alert.events, &scratch_);
     for (ComplexEventId id : scratch_) {
-      out->push_back(
-          MqpNotification{id, alert.docid, alert.url, alert.info_xml});
+      out->push_back(MqpNotification{id, &alert});
     }
   }
 

@@ -12,8 +12,7 @@ namespace xymon::reporter {
 /// The XML fragment a notification carries (Figure 2), as an immutable value
 /// shared by reference: the resolver builds one payload per document and
 /// payload recipe, and every subscriber it reaches — its DeliveryAction, its
-/// Notification, its place in a subscription buffer — holds the same object
-/// (DESIGN.md §15). A copy costs a reference count. Converts implicitly from
+/// place in a subscription buffer — holds the same object (DESIGN.md §15). A copy costs a reference count. Converts implicitly from
 /// a string, so `Notification{"S", "q", "<n/>", t}` still reads naturally.
 ///
 /// Thread contract: any thread may build a payload and read xml(). Once it
@@ -33,6 +32,9 @@ class Payload {
 
   /// True if both handles refer to one payload object.
   bool SharesWith(const Payload& other) const { return rep_ == other.rep_; }
+  /// The shared object's address (nullptr for an empty handle): equal for
+  /// exactly the handles that SharesWith each other.
+  const void* identity() const { return rep_.get(); }
 
   /// The element this payload contributes to a `<Report>` tree: the parsed
   /// fragment, a malformed one preserved verbatim as `<raw>`, nullptr for an

@@ -1,5 +1,7 @@
 #include "src/reporter/reporter.h"
 
+#include <algorithm>
+
 #include "src/xml/serializer.h"
 
 namespace xymon::reporter {
@@ -29,14 +31,14 @@ bool CompareCount(uint64_t count, alerters::Comparator cmp, uint64_t bound) {
 /// child is an element, so a child's indentation never depends on its
 /// siblings.
 std::string ReportBody(const std::string& name, const std::string& date,
-                       const std::vector<Notification>& buffer) {
+                       const std::vector<Payload>& buffer) {
   std::string body = "<Report subscription=\"" +
                      xml::EscapeText(name, /*in_attribute=*/true) +
                      "\" date=\"" +
                      xml::EscapeText(date, /*in_attribute=*/true) + "\"";
   const size_t head = body.size();
   body += ">\n";
-  for (const Notification& n : buffer) body += n.payload.ReportRendering();
+  for (const Payload& payload : buffer) body += payload.ReportRendering();
   if (body.size() == head + 2) {
     body.resize(head);
     body += "/>\n";  // no child: an empty element
@@ -48,44 +50,92 @@ std::string ReportBody(const std::string& name, const std::string& date,
 
 }  // namespace
 
-Status Reporter::AddSubscription(const std::string& name,
-                                 const sublang::ReportSpec& spec,
-                                 std::vector<std::string> recipients,
-                                 Timestamp now) {
-  auto [it, inserted] = subs_.emplace(name, SubState{});
-  if (!inserted) {
+uint32_t Reporter::Find(std::string_view name) const {
+  auto it = std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [this](uint32_t i, std::string_view n) { return subs_[i].name < n; });
+  return it != by_name_.end() && subs_[*it].name == name ? *it : kNoIndex;
+}
+
+uint32_t Reporter::OrdinalOf(SubState* sub, const std::string& query) {
+  auto it = std::find(sub->queries.begin(), sub->queries.end(), query);
+  if (it != sub->queries.end()) {
+    return static_cast<uint32_t>(it - sub->queries.begin());
+  }
+  sub->queries.push_back(query);
+  return static_cast<uint32_t>(sub->queries.size() - 1);
+}
+
+uint32_t Reporter::QueryOrdinal(uint32_t index, std::string_view query) const {
+  const std::vector<std::string>& queries = subs_[index].queries;
+  auto it = std::find(queries.begin(), queries.end(), query);
+  return it == queries.end() ? kNoOrdinal
+                             : static_cast<uint32_t>(it - queries.begin());
+}
+
+Result<uint32_t> Reporter::AddSubscription(
+    const std::string& name, const sublang::ReportSpec& spec,
+    std::vector<std::string> recipients, Timestamp now,
+    const std::vector<std::string>& query_names) {
+  if (Find(name) != kNoIndex) {
     return Status::AlreadyExists("subscription '" + name +
                                  "' already registered with the reporter");
   }
-  it->second.spec = spec;
-  it->second.recipients = std::move(recipients);
-  it->second.last_report_time = now;
-  index_.emplace(it->first, it);
-  return Status::OK();
+  uint32_t index = static_cast<uint32_t>(subs_.size());
+  if (!free_.empty()) {
+    index = free_.back();
+    free_.pop_back();
+  } else {
+    subs_.emplace_back();
+  }
+  SubState& sub = subs_[index];
+  sub.name = name;
+  sub.spec = spec;
+  sub.recipients = std::move(recipients);
+  sub.last_report_time = now;
+  for (const std::string& query : query_names) OrdinalOf(&sub, query);
+  for (const ReportCondition::Atom& atom : spec.when.atoms) {
+    uint32_t ordinal = kNoOrdinal;
+    if (atom.kind == ReportCondition::Atom::Kind::kNamedCount) {
+      ordinal = OrdinalOf(&sub, atom.query_name);
+      // Only the queries a count(Q) atom reads are counted.
+      if (sub.counts.size() <= ordinal) sub.counts.resize(ordinal + 1, 0);
+    }
+    sub.atom_ordinals.push_back(ordinal);
+  }
+  auto at = std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [this](uint32_t i, const std::string& n) { return subs_[i].name < n; });
+  by_name_.insert(at, index);
+  RefreshListeners(name);
+  return index;
 }
 
 Status Reporter::RemoveSubscription(const std::string& name) {
-  auto it = index_.find(name);
-  if (it == index_.end()) {
+  const uint32_t index = Find(name);
+  if (index == kNoIndex) {
     return Status::NotFound("subscription '" + name + "'");
   }
-  SubMap::iterator sub = it->second;
-  index_.erase(it);
-  subs_.erase(sub);
+  std::erase(by_name_, index);
+  subs_[index] = SubState{};
+  free_.push_back(index);
+  // A removed subscriber stops listening; a removed target keeps its
+  // registrations, which bind again if it comes back.
+  std::vector<std::string> targets;
   for (auto& [key, listeners] : virtual_listeners_) {
-    (void)key;
-    std::erase(listeners, name);
+    if (std::erase(listeners, name) != 0) targets.push_back(key.first);
   }
+  for (const std::string& target : targets) RefreshListeners(target);
   return Status::OK();
 }
 
 Status Reporter::AddRecipient(const std::string& name,
                               const std::string& email) {
-  auto it = subs_.find(name);
-  if (it == subs_.end()) {
+  const uint32_t index = Find(name);
+  if (index == kNoIndex) {
     return Status::NotFound("subscription '" + name + "'");
   }
-  it->second.recipients.push_back(email);
+  subs_[index].recipients.push_back(email);
   return Status::OK();
 }
 
@@ -93,47 +143,74 @@ Status Reporter::AddVirtualListener(const std::string& virtual_sub,
                                     const std::string& target_sub,
                                     const std::string& target_query) {
   virtual_listeners_[{target_sub, target_query}].push_back(virtual_sub);
+  RefreshListeners(target_sub);
   return Status::OK();
 }
 
-void Reporter::AddNotification(Notification notification) {
-  ++notifications_received_;
-
-  const std::vector<std::string>* listeners = nullptr;
-  if (!virtual_listeners_.empty()) {
-    auto vit = virtual_listeners_.find(
-        {notification.subscription, notification.query_name});
-    if (vit != virtual_listeners_.end()) listeners = &vit->second;
-  }
-  auto it = index_.find(notification.subscription);
-  if (listeners == nullptr) {
-    if (it != index_.end()) Enqueue(it->second, std::move(notification));
-    return;
-  }
-  if (it != index_.end()) Enqueue(it->second, notification);
-  for (const std::string& virtual_sub : *listeners) {
-    auto vit = index_.find(virtual_sub);
-    if (vit != index_.end()) Enqueue(vit->second, notification);
+void Reporter::RefreshListeners(const std::string& target) {
+  const uint32_t index = Find(target);
+  if (index == kNoIndex) return;
+  subs_[index].listeners.clear();
+  for (auto it = virtual_listeners_.lower_bound({target, ""});
+       it != virtual_listeners_.end() && it->first.first == target; ++it) {
+    const std::string& query = it->first.second;
+    const uint32_t ordinal = OrdinalOf(&subs_[index], query);
+    for (const std::string& virtual_sub : it->second) {
+      const uint32_t v = Find(virtual_sub);
+      if (v == kNoIndex) continue;
+      const uint32_t v_ordinal = OrdinalOf(&subs_[v], query);
+      std::vector<std::vector<Listener>>& listeners = subs_[index].listeners;
+      if (listeners.size() <= ordinal) listeners.resize(ordinal + 1);
+      listeners[ordinal].push_back({v, v_ordinal});
+    }
   }
 }
 
-void Reporter::Enqueue(SubMap::iterator it, Notification notification) {
-  SubState& sub = it->second;
-  const Timestamp time = notification.time;
+void Reporter::AddNotification(uint32_t index, uint32_t ordinal,
+                               Payload payload, Timestamp time) {
+  ++notifications_received_;
+  const std::vector<std::vector<Listener>>& by_ordinal =
+      subs_[index].listeners;
+  if (ordinal >= by_ordinal.size() || by_ordinal[ordinal].empty()) {
+    Enqueue(index, ordinal, std::move(payload), time);
+    return;
+  }
+  // Enqueue never changes the listener lists.
+  Enqueue(index, ordinal, payload, time);
+  for (const Listener& listener : by_ordinal[ordinal]) {
+    Enqueue(listener.index, listener.ordinal, payload, time);
+  }
+}
+
+void Reporter::AddNotification(Notification notification) {
+  const uint32_t index = Find(notification.subscription);
+  if (index == kNoIndex) {
+    ++notifications_received_;
+    return;
+  }
+  const uint32_t ordinal = OrdinalOf(&subs_[index], notification.query_name);
+  AddNotification(index, ordinal, std::move(notification.payload),
+                  notification.time);
+}
+
+void Reporter::Enqueue(uint32_t index, uint32_t ordinal, Payload payload,
+                       Timestamp time) {
+  SubState& sub = subs_[index];
   // atmost N: stop registering notifications past the cap until the next
   // report (paper §5.3).
   if (sub.spec.atmost_count.has_value() &&
       sub.buffer.size() >= *sub.spec.atmost_count) {
     ++notifications_dropped_;
   } else {
-    ++sub.counts_by_query[notification.query_name];
-    sub.buffer.push_back(std::move(notification));
+    if (ordinal < sub.counts.size()) ++sub.counts[ordinal];
+    sub.buffer.push_back(std::move(payload));
   }
-  MaybeReport(it->first, &sub, time);
+  MaybeReport(&sub, time);
 }
 
 bool Reporter::ConditionHolds(const SubState& sub, Timestamp now) const {
-  for (const ReportCondition::Atom& atom : sub.spec.when.atoms) {
+  for (size_t i = 0; i < sub.spec.when.atoms.size(); ++i) {
+    const ReportCondition::Atom& atom = sub.spec.when.atoms[i];
     switch (atom.kind) {
       case ReportCondition::Atom::Kind::kImmediate:
         if (!sub.buffer.empty()) return true;
@@ -141,12 +218,12 @@ bool Reporter::ConditionHolds(const SubState& sub, Timestamp now) const {
       case ReportCondition::Atom::Kind::kCount:
         if (CompareCount(sub.buffer.size(), atom.cmp, atom.count)) return true;
         break;
-      case ReportCondition::Atom::Kind::kNamedCount: {
-        auto it = sub.counts_by_query.find(atom.query_name);
-        uint64_t count = it == sub.counts_by_query.end() ? 0 : it->second;
-        if (CompareCount(count, atom.cmp, atom.count)) return true;
+      case ReportCondition::Atom::Kind::kNamedCount:
+        if (CompareCount(sub.counts[sub.atom_ordinals[i]], atom.cmp,
+                         atom.count)) {
+          return true;
+        }
         break;
-      }
       case ReportCondition::Atom::Kind::kPeriodic:
         if (!sub.buffer.empty() &&
             now - sub.last_report_time >=
@@ -159,8 +236,7 @@ bool Reporter::ConditionHolds(const SubState& sub, Timestamp now) const {
   return false;
 }
 
-void Reporter::MaybeReport(const std::string& name, SubState* sub,
-                           Timestamp now) {
+void Reporter::MaybeReport(SubState* sub, Timestamp now) {
   if (!sub->pending && !ConditionHolds(*sub, now)) return;
   // atmost <freq>: never report more often than the rate, even when the
   // when-condition triggers (paper §5.3); the report stays pending.
@@ -171,11 +247,11 @@ void Reporter::MaybeReport(const std::string& name, SubState* sub,
     return;
   }
   sub->pending = false;
-  GenerateReport(name, sub, now);
+  GenerateReport(sub, now);
 }
 
-void Reporter::GenerateReport(const std::string& name, SubState* sub,
-                              Timestamp now) {
+void Reporter::GenerateReport(SubState* sub, Timestamp now) {
+  const std::string& name = sub->name;
   const std::string date = FormatTimestamp(now);
   std::string body;
   if (!sub->spec.query_text.empty() && engine_ != nullptr) {
@@ -184,8 +260,8 @@ void Reporter::GenerateReport(const std::string& name, SubState* sub,
     auto buffer_root = xml::Node::Element("Report");
     buffer_root->SetAttribute("subscription", name);
     buffer_root->SetAttribute("date", date);
-    for (const Notification& n : sub->buffer) {
-      std::unique_ptr<xml::Node> child = n.payload.ReportChild();
+    for (const Payload& payload : sub->buffer) {
+      std::unique_ptr<xml::Node> child = payload.ReportChild();
       if (child != nullptr) buffer_root->AddChild(std::move(child));
     }
     auto parsed_query = query::ParseQuery("Report", sub->spec.query_text);
@@ -205,7 +281,6 @@ void Reporter::GenerateReport(const std::string& name, SubState* sub,
     body = ReportBody(name, date, sub->buffer);
   }
 
-  Report report{name, now, body};
   if (sub->spec.publish_web && web_portal_ != nullptr) {
     // Web publication (§3): the subscriber consults the report with a
     // browser instead of receiving an e-mail.
@@ -217,20 +292,20 @@ void Reporter::GenerateReport(const std::string& name, SubState* sub,
   }
   ++reports_generated_;
 
-  sub->last_report = std::make_unique<Report>(report);
-  if (sub->spec.archive.has_value()) {
-    sub->archive.push_back(std::move(report));
-  }
+  Report report{name, now, std::move(body)};
+  if (sub->spec.archive.has_value()) sub->archive.push_back(report);
+  sub->last_report = std::make_unique<Report>(std::move(report));
   // "The generation of a report empties the global buffer" (§5.3).
   sub->buffer.clear();
-  sub->counts_by_query.clear();
+  std::fill(sub->counts.begin(), sub->counts.end(), 0);
   sub->last_report_time = now;
   sub->has_reported = true;
 }
 
 void Reporter::Tick(Timestamp now) {
-  for (auto& [name, sub] : subs_) {
-    MaybeReport(name, &sub, now);
+  for (uint32_t index : by_name_) {
+    SubState& sub = subs_[index];
+    MaybeReport(&sub, now);
     // Archive GC: keep reports for one archive period (§5.3).
     if (sub.spec.archive.has_value()) {
       Timestamp retention = sublang::FrequencyPeriod(*sub.spec.archive);
@@ -244,23 +319,22 @@ void Reporter::Tick(Timestamp now) {
 }
 
 const Report* Reporter::LastReport(const std::string& subscription) const {
-  auto it = subs_.find(subscription);
-  if (it == subs_.end()) return nullptr;
-  return it->second.last_report.get();
+  const uint32_t index = Find(subscription);
+  return index == kNoIndex ? nullptr : subs_[index].last_report.get();
 }
 
 std::vector<const Report*> Reporter::ArchivedReports(
     const std::string& subscription) const {
   std::vector<const Report*> out;
-  auto it = subs_.find(subscription);
-  if (it == subs_.end()) return out;
-  for (const Report& r : it->second.archive) out.push_back(&r);
+  const uint32_t index = Find(subscription);
+  if (index == kNoIndex) return out;
+  for (const Report& r : subs_[index].archive) out.push_back(&r);
   return out;
 }
 
 size_t Reporter::BufferedCount(const std::string& subscription) const {
-  auto it = subs_.find(subscription);
-  return it == subs_.end() ? 0 : it->second.buffer.size();
+  const uint32_t index = Find(subscription);
+  return index == kNoIndex ? 0 : subs_[index].buffer.size();
 }
 
 }  // namespace xymon::reporter

@@ -1,9 +1,8 @@
 #include "src/system/binding_resolver.h"
 
+#include <algorithm>
 #include <map>
-#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/string_util.h"
@@ -22,49 +21,51 @@ using reporter::Payload;
 /// document, and every subscriber sharing it gets the same Payload objects.
 class DocumentPayloads {
  public:
-  explicit DocumentPayloads(const warehouse::IngestResult& ingest)
-      : ingest_(ingest) {}
+  DocumentPayloads(const warehouse::IngestResult& ingest,
+                   const mqp::AlertMessage& alert,
+                   const manager::SubscriptionManager& manager)
+      : ingest_(ingest), alert_(alert), manager_(manager) {}
 
-  const std::vector<Payload>& For(const manager::PayloadRecipe& recipe,
-                                  const mqp::MqpNotification& match) {
-    auto [it, fresh] = memo_.try_emplace(recipe.key);
-    if (fresh) it->second = Build(recipe, match);
+  const std::vector<Payload>& For(manager::RecipeId id) {
+    auto [it, fresh] = memo_.try_emplace(id);
+    if (fresh) it->second = Build(manager_.recipe(id));
     return it->second;
   }
 
  private:
-  std::vector<Payload> Build(const manager::PayloadRecipe& recipe,
-                             const mqp::MqpNotification& match);
+  std::vector<Payload> Build(const manager::PayloadRecipe& recipe);
 
   /// The paper's implemented behaviour: "notifications simply return the
   /// URL of the document and basic informations" (§5.1). One payload for
   /// every recipe that yields it.
-  const std::vector<Payload>& Info(const mqp::MqpNotification& match) {
-    if (info_.empty()) info_.emplace_back(match.info_xml);
+  const std::vector<Payload>& Info() {
+    if (info_.empty()) info_.emplace_back(alert_.info_xml);
     return info_;
   }
 
   const warehouse::IngestResult& ingest_;
-  std::unordered_map<std::string_view, std::vector<Payload>> memo_;
+  const mqp::AlertMessage& alert_;
+  const manager::SubscriptionManager& manager_;
+  std::unordered_map<manager::RecipeId, std::vector<Payload>> memo_;
   std::vector<Payload> info_;
 };
 
 std::vector<Payload> DocumentPayloads::Build(
-    const manager::PayloadRecipe& recipe, const mqp::MqpNotification& match) {
+    const manager::PayloadRecipe& recipe) {
   using sublang::SelectClause;
   switch (recipe.kind) {
     case SelectClause::Kind::kDefault:
-      return Info(match);
+      return Info();
 
     case SelectClause::Kind::kTemplate: {
       std::map<std::string, std::string> vars{
-          {"URL", match.url},
-          {"DOCID", std::to_string(match.docid)},
+          {"URL", alert_.url},
+          {"DOCID", std::to_string(alert_.docid)},
           {"STATUS", warehouse::DocStatusName(ingest_.meta.status)},
           {"DOMAIN", ingest_.meta.domain},
       };
       auto expanded = sublang::ExpandTemplate(recipe.template_xml, vars);
-      if (!expanded.ok()) return Info(match);
+      if (!expanded.ok()) return Info();
       return {Payload(xml::Serialize(*expanded.value()))};
     }
 
@@ -103,7 +104,7 @@ std::vector<Payload> DocumentPayloads::Build(
           if (word_matches(*el)) payloads.emplace_back(xml::Serialize(*el));
         }
       }
-      if (payloads.empty()) return Info(match);
+      if (payloads.empty()) return Info();
       return payloads;
     }
   }
@@ -115,28 +116,27 @@ std::vector<Payload> DocumentPayloads::Build(
 void BindingResolver::Resolve(const warehouse::IngestResult& ingest,
                               const std::vector<mqp::MqpNotification>& matches,
                               DocOutcome* out) const {
-  DocumentPayloads payloads(ingest);
-  // A disjunctive where clause registers several complex events for one
-  // monitoring query; a document satisfying more than one disjunct must
-  // still notify the query only once.
-  std::unordered_set<uint64_t> notified;
-  notified.reserve(matches.size());
+  if (matches.empty()) return;
+  DocumentPayloads payloads(ingest, *matches.front().alert, *manager_);
+  // A disjunctive where clause, or two same-named queries, list one query
+  // under several bindings; a document matching more than one of them must
+  // still notify the query only once — the first in match order.
+  std::vector<uint64_t> notified;
   for (const mqp::MqpNotification& match : matches) {
-    const manager::QueryBinding* binding =
-        manager_->FindBinding(match.complex_event);
-    if (binding == nullptr) continue;
-    if (!notified.insert(binding->query_id).second) continue;
-
-    for (const Payload& payload : payloads.For(binding->recipe, match)) {
-      out->actions.push_back(DeliveryAction{
-          DeliveryAction::Kind::kNotification, binding->subscription,
-          binding->query_name, payload, /*event_key=*/{}});
+    // An unknown id (a corrupted match) lists no binding.
+    for (manager::BindingId id : manager_->BindingsOf(match.complex_event)) {
+      const manager::QueryBinding& binding = *manager_->binding(id);
+      if (binding.shares_query) {
+        if (std::find(notified.begin(), notified.end(), binding.query_id) !=
+            notified.end()) {
+          continue;
+        }
+        notified.push_back(binding.query_id);
+      }
+      for (const Payload& payload : payloads.For(binding.recipe)) {
+        out->actions.push_back(DeliveryAction{id, payload});
+      }
     }
-    // Wake continuous queries listening on this monitoring query (§5.2's
-    // `when XylemeCompetitors.ChangeInMyProducts`).
-    out->actions.push_back(DeliveryAction{
-        DeliveryAction::Kind::kTriggerEvent, /*subscription=*/{},
-        /*query_name=*/{}, /*payload=*/{}, binding->trigger_key});
   }
 }
 

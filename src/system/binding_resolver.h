@@ -1,7 +1,6 @@
 #ifndef XYMON_SYSTEM_BINDING_RESOLVER_H_
 #define XYMON_SYSTEM_BINDING_RESOLVER_H_
 
-#include <string>
 #include <vector>
 
 #include "src/manager/subscription_manager.h"
@@ -12,14 +11,14 @@
 namespace xymon::system {
 
 /// Stage 4a as a standalone component: complex-event matches → deliverable
-/// DeliveryActions, via the manager's QueryBindings (binding lookup,
-/// per-query dedup, select-clause payload assembly). Payloads are memoised
-/// per document by the binding's PayloadRecipe: subscribers sharing a recipe
-/// share one Payload object, built once (DESIGN.md §15). Factored out of
-/// XylemeMonitor so a shard worker *process* can run the identical
-/// resolution over its own replayed SubscriptionManager (DESIGN.md §14) —
-/// the actions it ships back over the wire are byte-identical to what the
-/// in-process monitor would have produced.
+/// DeliveryActions. Each match names an interned event set; it expands into
+/// the set's bindings, newest first, with the per-query dedup and the
+/// select-clause payload assembly. Payloads are memoised per document by
+/// RecipeId: subscribers sharing a recipe share one Payload object, built
+/// once (DESIGN.md §15). Factored out of XylemeMonitor so a shard worker
+/// *process* can run the identical resolution over its own replayed
+/// SubscriptionManager (DESIGN.md §14) — its binding ids are the
+/// supervisor's, since both managers saw the same successful commands.
 ///
 /// Read-only over the manager; the caller quiesces every mutation of
 /// manager state around batches (the same contract as NotifyResolver).

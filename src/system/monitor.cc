@@ -50,6 +50,9 @@ XylemeMonitor::XylemeMonitor(const Clock* clock, const Options& options)
                options.validator),
       resolver_(&manager_) {
   pipeline_.set_resolver(&resolver_);
+  pipeline_.set_binding_check([this](manager::BindingId id) {
+    return manager_.binding(id) != nullptr;
+  });
   reporter_.set_web_portal(&web_portal_);
   manager_.set_user_registry(&users_);
 
@@ -226,21 +229,23 @@ void XylemeMonitor::Deliver(const DocJob& job, DocOutcome& outcome) {
   ++stats_.alerts_raised;
 
   Timestamp now = clock_->Now();
+  const manager::QueryBinding* previous = nullptr;
   for (DeliveryAction& action : outcome.actions) {
-    switch (action.kind) {
-      case DeliveryAction::Kind::kNotification:
-        reporter_.AddNotification(reporter::Notification{
-            std::move(action.subscription), std::move(action.query_name),
-            std::move(action.payload), now});
-        ++stats_.notifications;
-        break;
-      case DeliveryAction::Kind::kTriggerEvent:
-        // Deferred to the post-batch epoch barrier (FlushTriggerEventsLocked)
-        // so notification-raised continuous queries see the fully ingested
-        // batch — the same evaluation point for every shard count.
-        pending_trigger_events_.push_back(std::move(action.event_key));
-        break;
+    const manager::QueryBinding* binding = manager_.binding(action.binding);
+    if (binding == nullptr) continue;
+    reporter_.AddNotification(binding->report_index, binding->query_ordinal,
+                              std::move(action.payload), now);
+    ++stats_.notifications;
+    // A binding's payloads are consecutive actions: one trigger event per
+    // matched query and document, and only where a continuous query waits
+    // on it (§5.2's `when XylemeCompetitors.ChangeInMyProducts`). Deferred
+    // to the post-batch epoch barrier (FlushTriggerEventsLocked) so
+    // notification-raised continuous queries see the fully ingested batch —
+    // the same evaluation point for every shard count.
+    if (binding->listened && binding != previous) {
+      pending_trigger_events_.push_back(binding->trigger_key);
     }
+    previous = binding;
   }
 }
 

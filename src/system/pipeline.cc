@@ -414,6 +414,9 @@ IngestPipeline::IngestPipeline(const SystemOptions& options,
       sup.on_down = [this](size_t shard_index, const std::string&) {
         QuarantineShard(shard_index);
       };
+      sup.known_binding = [this](manager::BindingId id) {
+        return !binding_check_ || binding_check_(id);
+      };
       transports_.push_back(std::make_unique<ShardWorkerProxy>(
           i, options_, classifier_, replay_log, std::move(sup)));
     } else {

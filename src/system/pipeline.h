@@ -17,6 +17,7 @@
 #include "src/alerters/pipeline.h"
 #include "src/common/clock.h"
 #include "src/common/result.h"
+#include "src/manager/subscription_manager.h"
 #include "src/mqp/processor.h"
 #include "src/reporter/payload.h"
 #include "src/storage/storage_hub.h"
@@ -63,21 +64,16 @@ struct DocJob {
   bool deletion = false;
 };
 
-/// One deferred side effect of processing a document. Produced on the shard,
-/// replayed by the DeliverySink on the gather thread in submission order, so
-/// the reporter and trigger engine observe the same call sequence for every
-/// shard count.
+/// One notification of a processed document: the binding it is for and its
+/// payload. Produced on the shard, replayed by the DeliverySink on the
+/// gather thread in submission order, so the reporter and trigger engine
+/// observe the same call sequence for every shard count. The sink looks the
+/// binding up for its subscription, query and trigger key (DESIGN.md §15).
 struct DeliveryAction {
-  enum class Kind { kNotification, kTriggerEvent };
-  Kind kind = Kind::kNotification;
-  // kNotification:
-  std::string subscription;
-  std::string query_name;
+  manager::BindingId binding = 0;
   /// Shared with the other subscribers of the same recipe on this document;
   /// after Resolve returns, only the gather thread touches it.
   reporter::Payload payload;
-  // kTriggerEvent:
-  std::string event_key;
 };
 
 /// Everything the delivery half of stage 4 needs about one processed job.
@@ -469,6 +465,13 @@ class IngestPipeline {
   /// Stage-4a hook; install before the first batch.
   void set_resolver(const NotifyResolver* resolver) { resolver_ = resolver; }
 
+  /// Which binding ids the owner's manager knows: a worker process naming
+  /// another is a protocol error. Install before the first batch (unset:
+  /// every id passes).
+  void set_binding_check(std::function<bool(manager::BindingId)> check) {
+    binding_check_ = std::move(check);
+  }
+
   /// Called at the end of RestartShard with the shard index, after the
   /// replacement shard's transport was started — the owner re-registers
   /// subscriptions on the fresh detection replica
@@ -601,6 +604,7 @@ class IngestPipeline {
   SystemOptions options_;
   const warehouse::DomainClassifier* const classifier_;
   const NotifyResolver* resolver_ = nullptr;
+  std::function<bool(manager::BindingId)> binding_check_;
   std::function<Status(size_t)> restart_hook_;
   warehouse::DtdRegistry dtd_registry_;
   std::vector<std::unique_ptr<PipelineShard>> shards_;

@@ -155,12 +155,8 @@ void FaultyMatchStage::Match(const mqp::AlertMessage& alert,
       case StageFaultKind::kCorrupt: {
         // The real matches are replaced by a complex-event id no binding
         // knows — resolution must shrug it off.
-        mqp::MqpNotification bogus;
-        bogus.complex_event = ~mqp::ComplexEventId{0};
-        bogus.docid = alert.docid;
-        bogus.url = alert.url;
-        bogus.info_xml = "<corrupt/>";
-        out->push_back(std::move(bogus));
+        out->push_back(
+            mqp::MqpNotification{~mqp::ComplexEventId{0}, &alert});
         return;
       }
       case StageFaultKind::kStall:

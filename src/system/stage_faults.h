@@ -37,7 +37,7 @@ const char* StageKindName(StageKind stage);
 ///   * kCorrupt — the stage returns a well-formed but wrong result (ingest:
 ///     nothing stored, a degraded placeholder comes back; detect: an alert
 ///     with its events stripped; match: the real matches replaced by a
-///     binding id that exists nowhere).
+///     complex-event id that exists nowhere).
 ///   * kStall   — the stage sleeps for `stall_ms`, then runs normally (a
 ///     wedged dependency; what the batch deadline/watchdog is for).
 enum class StageFaultKind { kThrow, kCorrupt, kStall };

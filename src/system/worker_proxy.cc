@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <string_view>
-#include <unordered_map>
 
 #include "src/system/stage_faults.h"
 #include "src/xml/parser.h"
@@ -32,7 +31,9 @@ int64_t SteadyMicros() {
 
 }  // namespace
 
-DocOutcome OutcomeFromWire(ipc::SlotResultMsg msg) {
+Result<DocOutcome> OutcomeFromWire(
+    ipc::SlotResultMsg msg,
+    const std::function<bool(manager::BindingId)>& known_binding) {
   DocOutcome out;
   out.processed = msg.processed != 0;
   out.degraded = msg.degraded != 0;
@@ -41,24 +42,21 @@ DocOutcome OutcomeFromWire(ipc::SlotResultMsg msg) {
   out.failed_stage = std::move(msg.failed_stage);
   out.status =
       ipc::DecodeStatus(msg.status_code, std::move(msg.status_message));
-  // Keyed by views of the interned payloads' own strings.
-  std::unordered_map<std::string_view, reporter::Payload> interned;
+  std::vector<reporter::Payload> payloads;
+  payloads.reserve(msg.payloads.size());
+  for (std::string& xml : msg.payloads) payloads.emplace_back(std::move(xml));
   out.actions.reserve(msg.actions.size());
-  for (ipc::WireAction& a : msg.actions) {
-    DeliveryAction action;
-    action.kind = static_cast<DeliveryAction::Kind>(a.kind);
-    action.subscription = std::move(a.subscription);
-    action.query_name = std::move(a.query_name);
-    if (!a.payload_xml.empty()) {
-      auto it = interned.find(a.payload_xml);
-      if (it == interned.end()) {
-        reporter::Payload payload(std::move(a.payload_xml));
-        it = interned.emplace(payload.xml(), payload).first;
-      }
-      action.payload = it->second;
+  for (const ipc::WireAction& a : msg.actions) {
+    if (a.payload >= payloads.size()) {
+      return Status::Corruption("wire: SlotResult action names payload " +
+                                std::to_string(a.payload) + " of " +
+                                std::to_string(payloads.size()));
     }
-    action.event_key = std::move(a.event_key);
-    out.actions.push_back(std::move(action));
+    if (known_binding && !known_binding(a.binding)) {
+      return Status::Corruption("wire: SlotResult names unknown binding " +
+                                std::to_string(a.binding));
+    }
+    out.actions.push_back(DeliveryAction{a.binding, payloads[a.payload]});
   }
   return out;
 }
@@ -573,13 +571,28 @@ void ShardWorkerProxy::ReaderLoop() {
       case ipc::MsgType::kSlotResult: {
         ipc::SlotResultMsg msg;
         if (!decode(&msg)) return;
-        std::shared_ptr<BatchState> bs;
-        PipelineShard* counters = nullptr;
         {
           std::lock_guard<std::mutex> lock(mutex_);
           document_count_ = msg.document_count;
           if (msg.batch != batch_seq_ || !batch_) break;  // stale batch
-          auto it = outstanding_.find(msg.slot);
+          if (outstanding_.count(msg.slot) == 0) break;  // slot already failed
+        }
+        const size_t slot = msg.slot;
+        const ipc::WireStageDelta deltas[] = {msg.ingest, msg.detect,
+                                              msg.match, msg.notify};
+        // Ids are checked while the slot is still outstanding, so an
+        // unknown one fails it on the death path like a malformed frame.
+        Result<DocOutcome> outcome =
+            OutcomeFromWire(std::move(msg), supervision_.known_binding);
+        if (!outcome.ok()) {
+          HandleDown(outcome.status().message(), /*proto_error=*/true);
+          return;
+        }
+        std::shared_ptr<BatchState> bs;
+        PipelineShard* counters = nullptr;
+        {
+          std::lock_guard<std::mutex> lock(mutex_);
+          auto it = outstanding_.find(slot);
           if (it == outstanding_.end()) break;  // slot already failed
           outstanding_.erase(it);
           bs = batch_;
@@ -587,17 +600,15 @@ void ShardWorkerProxy::ReaderLoop() {
         }
         if (counters != nullptr) {
           std::lock_guard<std::mutex> lock(counters->mutex);
-          counters->ingest_counts.documents += msg.ingest.documents;
-          counters->ingest_counts.micros += msg.ingest.micros;
-          counters->detect_counts.documents += msg.detect.documents;
-          counters->detect_counts.micros += msg.detect.micros;
-          counters->match_counts.documents += msg.match.documents;
-          counters->match_counts.micros += msg.match.micros;
-          counters->notify_counts.documents += msg.notify.documents;
-          counters->notify_counts.micros += msg.notify.micros;
+          StageCounters* into[] = {
+              &counters->ingest_counts, &counters->detect_counts,
+              &counters->match_counts, &counters->notify_counts};
+          for (size_t i = 0; i < 4; ++i) {
+            into[i]->documents += deltas[i].documents;
+            into[i]->micros += deltas[i].micros;
+          }
         }
-        const size_t slot = msg.slot;
-        bs->Publish(slot, OutcomeFromWire(std::move(msg)));
+        bs->Publish(slot, std::move(outcome).value());
         break;
       }
       case ipc::MsgType::kCmdAck: {

@@ -38,10 +38,13 @@ class ReplayLog {
 };
 
 /// The DocOutcome a worker's SlotResult carries (the stage deltas aside).
-/// Workers ship one payload string per action; identical strings within the
-/// result become one shared Payload again, as the resolver shared them
-/// before the wire copied them (DESIGN.md §15).
-DocOutcome OutcomeFromWire(ipc::SlotResultMsg msg);
+/// Each distinct payload string of the result becomes one shared Payload
+/// again, as the resolver shared them before the wire copied them
+/// (DESIGN.md §15). An action naming a payload the result does not carry,
+/// or a binding `known_binding` rejects, makes the frame Corruption.
+Result<DocOutcome> OutcomeFromWire(
+    ipc::SlotResultMsg msg,
+    const std::function<bool(manager::BindingId)>& known_binding);
 
 /// The process substrate for one shard (DESIGN.md §14): a ShardTransport
 /// over a fork/exec'd worker process on a socketpair, with the framed wire
@@ -74,6 +77,10 @@ class ShardWorkerProxy : public ShardTransport {
     /// the shard. Runs on the reader thread (or the caller of PollDead) —
     /// must not call back into Start/Stop.
     std::function<void(size_t shard_index, const std::string& reason)> on_down;
+    /// True for a binding id the supervisor's manager knows; a SlotResult
+    /// naming another is a protocol error. Runs on the reader thread while
+    /// the slot's batch is in flight (the manager is quiesced).
+    std::function<bool(manager::BindingId)> known_binding;
   };
 
   /// Worker for shard `shard_index` of a pipeline built with `options`

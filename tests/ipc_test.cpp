@@ -2,7 +2,7 @@
 // supervisor/worker handshake, and kill-and-restart containment.
 //
 // Five tiers:
-//   1. Wire format — frame/message roundtrips, the pinned version-1 bytes
+//   1. Wire format — frame/message roundtrips, the pinned version-2 bytes
 //      of one frame of every type, then the corruption sweep: truncations,
 //      bit flips, oversized length headers and seeded garbage against both
 //      the frame reader and every message decoder (clean Status, never a
@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "crash_sweep.h"
+#include "stream_golden.h"
 #include "time_scale.h"
 #include "src/ipc/wire.h"
 #include "src/system/monitor.h"
@@ -176,8 +177,9 @@ TEST(WireMessageTest, SlotResultRoundtripsActionsAndDeltas) {
   msg.failed_stage = "detect";
   msg.status_code = 5;
   msg.status_message = "stage threw";
-  msg.actions.push_back({1, "Sub0", "Q", "<Changed/>", "ev:k"});
-  msg.actions.push_back({0, "Sub1", "", "", ""});
+  msg.payloads = {"<Changed/>", ""};
+  msg.actions.push_back({17, 0});
+  msg.actions.push_back({3, 1});
   msg.ingest = {3, 1200};
   msg.detect = {3, 450};
   msg.match = {2, 90};
@@ -195,47 +197,62 @@ TEST(WireMessageTest, SlotResultRoundtripsActionsAndDeltas) {
   EXPECT_EQ(got.failed_stage, "detect");
   EXPECT_EQ(got.status_code, 5);
   EXPECT_EQ(got.status_message, "stage threw");
+  EXPECT_EQ(got.payloads, msg.payloads);
   ASSERT_EQ(got.actions.size(), 2u);
-  EXPECT_EQ(got.actions[0].subscription, "Sub0");
-  EXPECT_EQ(got.actions[0].payload_xml, "<Changed/>");
-  EXPECT_EQ(got.actions[0].event_key, "ev:k");
+  EXPECT_EQ(got.actions[0].binding, 17u);
+  EXPECT_EQ(got.actions[0].payload, 0u);
+  EXPECT_EQ(got.actions[1].binding, 3u);
+  EXPECT_EQ(got.actions[1].payload, 1u);
   EXPECT_EQ(got.ingest.micros, 1200u);
   EXPECT_EQ(got.notify.documents, 1u);
   EXPECT_EQ(got.document_count, 19u);
 }
 
 TEST(WireMessageTest, DecodedPayloadsAreSharedPerDistinctString) {
-  // Workers ship one string per action; the supervisor maps the identical
-  // strings of one SlotResult back onto one shared payload.
+  // Workers ship each distinct payload string once; the supervisor maps the
+  // actions naming one string back onto one shared payload.
   ipc::SlotResultMsg msg;
   msg.processed = 1;
   msg.alert = 1;
-  msg.actions.push_back({0, "S1", "q", "<Hit a=\"1\"/>", ""});
-  msg.actions.push_back({1, "", "", "", "S1.q"});
-  msg.actions.push_back({0, "S2", "q", "<Hit a=\"1\"/>", ""});
-  msg.actions.push_back({0, "S3", "q", "<Other/>", ""});
-  msg.actions.push_back({0, "S4", "q", "<Hit a=\"1\"/>", ""});
-  msg.actions.push_back({0, "S5", "q", "<Other/>", ""});
+  msg.payloads = {"<Hit a=\"1\"/>", "<Other/>"};
+  msg.actions = {{1, 0}, {2, 0}, {3, 1}, {4, 0}, {5, 1}};
+  const std::vector<std::string> want = {msg.payloads[0], msg.payloads[0],
+                                         msg.payloads[1], msg.payloads[0],
+                                         msg.payloads[1]};
 
-  system::DocOutcome out = system::OutcomeFromWire(msg);
-  ASSERT_EQ(out.actions.size(), 6u);
-  EXPECT_TRUE(out.processed);
-  EXPECT_TRUE(out.alert);
-  const auto& a = out.actions;
+  auto known = [](manager::BindingId id) { return id >= 1 && id <= 5; };
+  Result<system::DocOutcome> out = system::OutcomeFromWire(msg, known);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->actions.size(), 5u);
+  EXPECT_TRUE(out->processed);
+  EXPECT_TRUE(out->alert);
+  const auto& a = out->actions;
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].payload.xml(), msg.actions[i].payload_xml) << i;
-    EXPECT_EQ(a[i].subscription, msg.actions[i].subscription) << i;
-    EXPECT_EQ(a[i].event_key, msg.actions[i].event_key) << i;
+    EXPECT_EQ(a[i].payload.xml(), want[i]) << i;
+    EXPECT_EQ(a[i].binding, msg.actions[i].binding) << i;
   }
-  EXPECT_EQ(a[1].kind, system::DeliveryAction::Kind::kTriggerEvent);
-  EXPECT_TRUE(a[0].payload.SharesWith(a[2].payload));
-  EXPECT_TRUE(a[0].payload.SharesWith(a[4].payload));
-  EXPECT_TRUE(a[3].payload.SharesWith(a[5].payload));
-  EXPECT_FALSE(a[0].payload.SharesWith(a[3].payload));
+  EXPECT_TRUE(a[0].payload.SharesWith(a[1].payload));
+  EXPECT_TRUE(a[0].payload.SharesWith(a[3].payload));
+  EXPECT_TRUE(a[2].payload.SharesWith(a[4].payload));
+  EXPECT_FALSE(a[0].payload.SharesWith(a[2].payload));
 
   // Sharing is per result: another SlotResult decodes its own objects.
-  system::DocOutcome again = system::OutcomeFromWire(msg);
-  EXPECT_FALSE(again.actions[0].payload.SharesWith(a[0].payload));
+  Result<system::DocOutcome> again = system::OutcomeFromWire(msg, known);
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(again->actions[0].payload.SharesWith(a[0].payload));
+}
+
+TEST(WireMessageTest, IdsOutsideTheResultOrTheManagerAreCorruption) {
+  ipc::SlotResultMsg msg;
+  msg.payloads = {"<p/>"};
+  msg.actions = {{1, 0}};
+  auto known = [](manager::BindingId id) { return id == 1; };
+  EXPECT_TRUE(system::OutcomeFromWire(msg, known).ok());
+
+  msg.actions = {{1, 1}};  // payload index past the result's payloads
+  EXPECT_TRUE(system::OutcomeFromWire(msg, known).status().IsCorruption());
+  msg.actions = {{2, 0}};  // a binding the supervisor does not know
+  EXPECT_TRUE(system::OutcomeFromWire(msg, known).status().IsCorruption());
 }
 
 TEST(WireMessageTest, DomainDocsRoundtripsMetaAndBody) {
@@ -312,7 +329,7 @@ const auto kSamples = std::make_tuple(
     ipc::CmdAckMsg{5, 3, "nope"},
     ipc::SlotMsg{6, 1, 0, 7, 99, "http://u", "<p/>"},
     ipc::SlotResultMsg{7, 2, 1, 0, 1, 1, "detect", 10, "stage threw",
-                       {{1, "S", "Q", "<x/>", "k"}, {0, "S2", "", "", ""}},
+                       {"<x/>", ""}, {{1, 0}, {258, 1}, {3, 0}},
                        {3, 1200}, {3, 450}, {2, 90}, {1, 30}, 19},
     ipc::CheckpointMsg{8},
     ipc::CheckpointDoneMsg{8, 0, "", 12},
@@ -375,13 +392,13 @@ std::string Hex(std::string_view bytes) {
   return out;
 }
 
-TEST(WireMessageTest, EveryFrameKeepsItsVersion1Bytes) {
-  // The version-1 bytes of each sample frame, one string per field. Any
+TEST(WireMessageTest, EveryFrameKeepsItsVersion2Bytes) {
+  // The version-2 bytes of each sample frame, one string per field. Any
   // change here is a wire format change: bump kWireVersion together with
   // this table.
   const std::map<MsgType, std::string> golden = {
       {MsgType::kHello,
-       "01" "574d5958" "01000000" "01000000" "04000000" "01" "00" "03000000"
+       "01" "574d5958" "02000000" "01000000" "04000000" "01" "00" "03000000"
        "02000000"
        "02" "01" "05000000" "dc050000" "08000000" "687474703a2f2f75"
        "01" "03" "01000000" "00000000" "0e000000"
@@ -407,10 +424,9 @@ TEST(WireMessageTest, EveryFrameKeepsItsVersion1Bytes) {
       {MsgType::kSlotResult,
        "09" "0700000000000000" "02000000" "01" "00" "01" "01"
        "06000000" "646574656374" "0a" "0b000000" "7374616765207468726577"
-       "02000000"
-       "01" "01000000" "53" "01000000" "51" "04000000" "3c782f3e"
-       "01000000" "6b"
-       "00" "02000000" "5332" "00000000" "00000000" "00000000"
+       "02000000" "04000000" "3c782f3e" "00000000"
+       "03000000"
+       "01000000" "00000000" "02010000" "01000000" "03000000" "00000000"
        "0300000000000000" "b004000000000000"
        "0300000000000000" "c201000000000000"
        "0200000000000000" "5a00000000000000"
@@ -437,7 +453,7 @@ TEST(WireMessageTest, EveryFrameKeepsItsVersion1Bytes) {
       {MsgType::kDtdIdResp, "11" "07000000" "6172742e647464" "04000000"},
       {MsgType::kShutdown, "12"},
   };
-  EXPECT_EQ(ipc::kWireVersion, 1u);
+  EXPECT_EQ(ipc::kWireVersion, 2u);
   for (auto t = static_cast<uint8_t>(MsgType::kHello);
        t <= static_cast<uint8_t>(MsgType::kShutdown); ++t) {
     const auto type = static_cast<MsgType>(t);
@@ -797,6 +813,76 @@ TEST(ProcessModeTest, TwoAndFourWorkersMatchInlineBitForBit) {
     EXPECT_TRUE(*run.shape == *inline_run.shape)
         << "MQP tree shape diverged from the inline build";
   }
+}
+
+/// The mail (to, body) of 12 subscriptions sharing a URL prefix, one word
+/// each, after a subscribe that failed past its monitoring query: on 2
+/// shards of `mode`, for one page holding all 12 words.
+std::vector<std::pair<std::string, std::string>> MailAfterFailedSubscribe(
+    ShardMode mode) {
+  static constexpr const char* kWords[] = {
+      "amber", "bronze", "cobalt", "denim", "ebony", "fawn",
+      "garnet", "hazel", "indigo", "jade", "khaki", "lilac"};
+  SimClock clock(1000);
+  XylemeMonitor::Options options;
+  options.num_shards = 2;
+  options.shard_mode = mode;
+  options.worker_binary = kWorkerBin;
+  XylemeMonitor monitor(&clock, options);
+  EXPECT_TRUE(monitor.pipeline().worker_status().ok());
+  // The continuous query does not parse: the subscription fails after its
+  // monitoring query took two fresh atomic codes. It is never replicated.
+  EXPECT_FALSE(monitor
+                   .Subscribe(R"(
+subscription Broken
+monitoring M
+select default
+where URL extends "http://s.org/" and self contains "zebra"
+continuous Q
+select ~~~nonsense~~~
+when daily
+report when immediate
+)",
+                              "broken@x")
+                   .ok());
+  std::string page = "<p>";
+  for (int i = 0; i < 12; ++i) {
+    const std::string number = std::to_string(i);
+    EXPECT_TRUE(monitor
+                    .Subscribe("subscription W" + number +
+                                   "\nmonitoring M\nselect default\n"
+                                   "where URL extends \"http://s.org/\" and "
+                                   "self contains \"" +
+                                   kWords[i] + "\"\nreport when immediate\n",
+                               std::string(kWords[i]) + "@x")
+                    .ok());
+    page += std::string(kWords[i]) + " ";
+  }
+  monitor.ProcessFetch("http://s.org/page.xml", page + "</p>");
+  std::vector<std::pair<std::string, std::string>> mail;
+  for (const reporter::Email& email : monitor.outbox().sent()) {
+    mail.emplace_back(email.to, email.body);
+  }
+  return mail;
+}
+
+TEST(ProcessModeTest, FailedSubscribeKeepsWorkersInThreadOrder) {
+  // A failed Subscribe rolls back what it registered and the ids it took,
+  // so the workers — which never see it — hand out the same codes and
+  // deliver in the same order as thread shards.
+  const auto threads = MailAfterFailedSubscribe(ShardMode::kThread);
+  ASSERT_EQ(threads.size(), 12u);
+  EXPECT_EQ(MailAfterFailedSubscribe(ShardMode::kProcess), threads);
+}
+
+TEST(ProcessModeTest, NotificationStreamGoldenOnTwoWorkers) {
+  // The digest tests/system_test.cpp pins at 1 and 2 thread shards.
+  XylemeMonitor::Options options;
+  options.num_shards = 2;
+  options.shard_mode = ShardMode::kProcess;
+  options.worker_binary = kWorkerBin;
+  EXPECT_EQ(testing::RunGoldenStream(options),
+            "mails=824 received=1273 digest=9413162cc5b6eb43");
 }
 
 TEST(ProcessModeTest, StatusReportListsWorkersOnlyInProcessMode) {

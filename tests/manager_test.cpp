@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/manager/subscription_manager.h"
@@ -129,13 +131,188 @@ report when immediate
   EXPECT_EQ(trigger_engine_.trigger_count(), 0u);
 }
 
-TEST_F(ManagerTest, FindBindingMapsComplexEvents) {
+TEST_F(ManagerTest, InternedEventListsItsBindingsNewestFirst) {
   ASSERT_TRUE(manager_.Subscribe(kSimpleSub, "u@x").ok());
-  const QueryBinding* binding = manager_.FindBinding(1);
+  ASSERT_EQ(manager_.BindingsOf(1).size(), 1u);
+  const QueryBinding* binding = manager_.binding(manager_.BindingsOf(1)[0]);
   ASSERT_NE(binding, nullptr);
   EXPECT_EQ(binding->subscription, "Simple");
   EXPECT_EQ(binding->query_name, "m1");
-  EXPECT_EQ(manager_.FindBinding(999), nullptr);
+  EXPECT_EQ(binding->trigger_key, "Simple.m1");
+  EXPECT_EQ(binding->complex_event, 1u);
+  EXPECT_FALSE(binding->shares_query);
+  EXPECT_FALSE(binding->listened);
+  EXPECT_TRUE(manager_.BindingsOf(999).empty());
+  EXPECT_TRUE(manager_.BindingsOf(~mqp::ComplexEventId{0}).empty());
+  EXPECT_EQ(manager_.binding(999), nullptr);
+
+  // The same conditions in another subscription: one more binding under the
+  // same complex event, listed first.
+  std::string twin = kSimpleSub;
+  twin.replace(twin.find("Simple"), 6, "Twin");
+  ASSERT_TRUE(manager_.Subscribe(twin, "t@x").ok());
+  EXPECT_EQ(mqp_.matcher().size(), 1u);
+  ASSERT_EQ(manager_.BindingsOf(1).size(), 2u);
+  EXPECT_EQ(manager_.binding(manager_.BindingsOf(1)[0])->subscription, "Twin");
+  EXPECT_EQ(manager_.binding(manager_.BindingsOf(1)[1])->subscription,
+            "Simple");
+  // Equal recipes share one id.
+  EXPECT_EQ(manager_.binding(manager_.BindingsOf(1)[0])->recipe,
+            manager_.binding(manager_.BindingsOf(1)[1])->recipe);
+
+  // Re-adding a retracted binding puts it first again.
+  ASSERT_TRUE(manager_.Unsubscribe("Simple").ok());
+  ASSERT_TRUE(manager_.Subscribe(kSimpleSub, "u@x").ok());
+  ASSERT_EQ(manager_.BindingsOf(1).size(), 2u);
+  EXPECT_EQ(manager_.binding(manager_.BindingsOf(1)[0])->subscription,
+            "Simple");
+
+  // The set is retracted with its last binding.
+  ASSERT_TRUE(manager_.Unsubscribe("Simple").ok());
+  EXPECT_EQ(mqp_.matcher().size(), 1u);
+  ASSERT_TRUE(manager_.Unsubscribe("Twin").ok());
+  EXPECT_EQ(mqp_.matcher().size(), 0u);
+  EXPECT_TRUE(manager_.BindingsOf(1).empty());
+}
+
+TEST_F(ManagerTest, InternedMatchOrderEqualsOneEventPerBinding) {
+  // The order contract: expanding each interned match into its bindings,
+  // newest first, gives the order an MQP holding one complex event per
+  // binding reports. The reference replays the same registration history
+  // (codes are handed out in first-use order: the URL prefix gets 1, word
+  // k gets k + 2), including a retraction and a re-registration. With 11
+  // words the first repeated set finds the URL's child table at its growth
+  // threshold, so the order also depends on every binding's registration
+  // reaching the tables.
+  constexpr int kWords = 11;
+  auto text = [](int i) {
+    const std::string number = std::to_string(i);
+    const std::string word = std::to_string(i % kWords);
+    return "subscription N" + number +
+           "\nmonitoring M\nselect default\n"
+           "where URL extends \"http://site.org/\" and self contains \"w" +
+           word + "\"\nreport when immediate\n";
+  };
+  mqp::AesMatcher reference;
+  std::map<mqp::ComplexEventId, std::string> reference_names;
+  std::map<std::string, mqp::ComplexEventId> reference_ids;
+  mqp::ComplexEventId next_reference = 1;
+  auto subscribe = [&](int i) {
+    ASSERT_TRUE(manager_.Subscribe(text(i), "u@x").ok());
+    const std::string number = std::to_string(i);
+    const std::string name = "N" + number;
+    const mqp::ComplexEventId id = next_reference++;
+    ASSERT_TRUE(reference
+                    .Insert(id, {1, static_cast<mqp::AtomicEvent>(
+                                        i % kWords + 2)})
+                    .ok());
+    reference_names[id] = name;
+    reference_ids[name] = id;
+  };
+  for (int i = 0; i < 5 * kWords; ++i) subscribe(i);
+  ASSERT_TRUE(manager_.Unsubscribe("N3").ok());
+  ASSERT_TRUE(reference.Erase(reference_ids["N3"]).ok());
+  subscribe(3);
+  EXPECT_EQ(mqp_.matcher().size(), static_cast<size_t>(kWords));
+
+  mqp::EventSet document = {1};
+  for (int k = 0; k < kWords; ++k) document.push_back(k + 2);
+  std::vector<mqp::ComplexEventId> matched;
+  mqp_.matcher().Match(document, &matched);
+  std::vector<std::string> got;
+  for (mqp::ComplexEventId id : matched) {
+    for (BindingId b : manager_.BindingsOf(id)) {
+      got.push_back(manager_.binding(b)->subscription);
+    }
+  }
+  matched.clear();
+  reference.Match(document, &matched);
+  std::vector<std::string> want;
+  for (mqp::ComplexEventId id : matched) want.push_back(reference_names[id]);
+  ASSERT_EQ(want.size(), static_cast<size_t>(5 * kWords));
+  EXPECT_EQ(got, want);
+}
+
+TEST_F(ManagerTest, ListenedFlagFollowsNotificationTriggers) {
+  // A binding raises trigger events only while a continuous query waits on
+  // its query, whichever of the two subscriptions registered first.
+  constexpr char kListener[] = R"(
+subscription Listener
+continuous C
+select m from any/museum m
+when Simple.m1
+report when immediate
+)";
+  // Simple's one binding, under complex event `id`.
+  auto listened = [&](mqp::ComplexEventId id) {
+    std::span<const BindingId> bindings = manager_.BindingsOf(id);
+    EXPECT_EQ(bindings.size(), 1u);
+    return !bindings.empty() && manager_.binding(bindings[0])->listened;
+  };
+  ASSERT_TRUE(manager_.Subscribe(kSimpleSub, "u@x").ok());
+  EXPECT_FALSE(listened(1));
+  ASSERT_TRUE(manager_.Subscribe(kListener, "l@x").ok());
+  EXPECT_TRUE(listened(1));
+  ASSERT_TRUE(manager_.Unsubscribe("Listener").ok());
+  EXPECT_FALSE(listened(1));
+  // Listener first: Simple's new binding (its set re-registered as complex
+  // event 2) is flagged as it subscribes.
+  ASSERT_TRUE(manager_.Unsubscribe("Simple").ok());
+  ASSERT_TRUE(manager_.Subscribe(kListener, "l@x").ok());
+  ASSERT_TRUE(manager_.Subscribe(kSimpleSub, "u@x").ok());
+  EXPECT_TRUE(listened(2));
+}
+
+TEST_F(ManagerTest, FailedSubscribeRestoresEveryIdCounter) {
+  // A subscription that fails after its monitoring query took fresh codes,
+  // a complex event and a binding leaves no trace in the ids handed out
+  // next: they are those of a manager that never saw it.
+  SimClock clock;
+  warehouse::Warehouse warehouse;
+  mqp::MonitoringQueryProcessor mqp;
+  alerters::UrlAlerter url;
+  alerters::XmlAlerter xml;
+  alerters::HtmlAlerter html;
+  alerters::AlertPipeline pipeline(&url, &xml, &html);
+  trigger::TriggerEngine trigger_engine;
+  reporter::Outbox outbox;
+  query::QueryEngine query_engine(&warehouse);
+  reporter::Reporter reporter(&outbox, &query_engine);
+  SubscriptionManager fresh(SubscriptionManager::Components{
+      {{&mqp, &url, &xml, &html, &pipeline}},
+      &trigger_engine,
+      &reporter,
+      &query_engine,
+      &clock});
+
+  EXPECT_FALSE(manager_
+                   .Subscribe(R"(
+subscription Bad
+monitoring
+select default
+where URL extends "http://bad.org/" and self contains "zebra"
+continuous Q
+select ~~~nonsense~~~
+when daily
+report when immediate
+)",
+                              "u@x")
+                   .ok());
+  for (SubscriptionManager* m : {&manager_, &fresh}) {
+    ASSERT_TRUE(m->Subscribe(kSimpleSub, "u@x").ok());
+    ASSERT_TRUE(m->Subscribe(kOtherSub, "u@x").ok());
+  }
+  for (mqp::ComplexEventId id : {1u, 2u}) {
+    SCOPED_TRACE(id);
+    ASSERT_EQ(manager_.BindingsOf(id).size(), 1u);
+    ASSERT_EQ(fresh.BindingsOf(id).size(), 1u);
+    EXPECT_EQ(manager_.BindingsOf(id)[0], fresh.BindingsOf(id)[0]);
+  }
+  std::vector<mqp::ComplexEventId> got, want;
+  mqp_.matcher().Match({1, 2, 3}, &got);
+  mqp.matcher().Match({1, 2, 3}, &want);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.size(), 2u);
 }
 
 TEST_F(ManagerTest, VirtualRequiresExistingTarget) {

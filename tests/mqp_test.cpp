@@ -362,9 +362,8 @@ TEST(ProcessorTest, EmitsNotificationEnvelope) {
   mqp.Process(alert, &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].complex_event, 7u);
-  EXPECT_EQ(out[0].docid, 55u);
-  EXPECT_EQ(out[0].url, "http://x/");
-  EXPECT_EQ(out[0].info_xml, "<doc/>");
+  // The notification refers to its alert rather than copying it.
+  EXPECT_EQ(out[0].alert, &alert);
 }
 
 TEST(PartitionedMatcherTest, MatchesAcrossPartitionsAndBalances) {

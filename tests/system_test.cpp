@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "stream_golden.h"
 #include "src/system/monitor.h"
 #include "src/xml/parser.h"
 #include "src/webstub/crawler.h"
@@ -204,6 +205,76 @@ report when immediate
   monitor_.ProcessFetch("http://www.xyleme.com/products.xml", "<p>v2</p>");
   EXPECT_EQ(monitor_.trigger_engine().firings(), before + 1);
   EXPECT_NE(monitor_.outbox().last()->body.find("conquer"), std::string::npos);
+}
+
+TEST_F(SystemTest, ContinuousQueryFiresOnAnotherSubscriptionsQuery) {
+  // B's continuous query waits on A's monitoring query, whichever of the
+  // two registers first.
+  constexpr char kA[] = R"(
+subscription A
+monitoring Q
+select default
+where URL = "http://www.xyleme.com/products.xml" and modified self
+report when immediate
+)";
+  constexpr char kB[] = R"(
+subscription B
+continuous Competitors
+select c from market//competitor c
+when A.Q
+report when immediate
+)";
+  monitor_.AddDomainRule({"market", "", "competitors", ""});
+  monitor_.ProcessFetch("http://scan/market.xml",
+                        "<competitors><competitor>conquer</competitor>"
+                        "</competitors>");
+  int version = 0;
+  auto modify = [&] {
+    const std::string number = std::to_string(++version);
+    monitor_.ProcessFetch("http://www.xyleme.com/products.xml",
+                          "<p>v" + number + "</p>");
+  };
+  auto mails_to_b = [&] {
+    size_t n = 0;
+    for (const auto& mail : monitor_.outbox().sent()) {
+      if (mail.to == "b@x") {
+        EXPECT_NE(mail.body.find("conquer"), std::string::npos);
+        ++n;
+      }
+    }
+    return n;
+  };
+  modify();  // The first version is new, not modified.
+  const uint64_t base = monitor_.trigger_engine().firings();
+
+  // B before A: nothing to wait on yet, then A's matches wake it.
+  ASSERT_TRUE(monitor_.Subscribe(kB, "b@x").ok());
+  modify();
+  EXPECT_EQ(monitor_.trigger_engine().firings(), base);
+  ASSERT_TRUE(monitor_.Subscribe(kA, "a@x").ok());
+  modify();
+  EXPECT_EQ(monitor_.trigger_engine().firings(), base + 1);
+  EXPECT_EQ(mails_to_b(), 1u);
+
+  // A unsubscribed and subscribed again: B still listens.
+  ASSERT_TRUE(monitor_.Unsubscribe("A").ok());
+  modify();
+  EXPECT_EQ(monitor_.trigger_engine().firings(), base + 1);
+  ASSERT_TRUE(monitor_.Subscribe(kA, "a@x").ok());
+  modify();
+  EXPECT_EQ(monitor_.trigger_engine().firings(), base + 2);
+  EXPECT_EQ(mails_to_b(), 2u);
+
+  // B unsubscribed: A's matches wake nothing.
+  ASSERT_TRUE(monitor_.Unsubscribe("B").ok());
+  modify();
+  EXPECT_EQ(monitor_.trigger_engine().firings(), base + 2);
+
+  // B after A.
+  ASSERT_TRUE(monitor_.Subscribe(kB, "b@x").ok());
+  modify();
+  EXPECT_EQ(monitor_.trigger_engine().firings(), base + 3);
+  EXPECT_EQ(mails_to_b(), 3u);
 }
 
 TEST_F(SystemTest, VirtualSubscriptionSharesQueries) {
@@ -428,7 +499,7 @@ TEST_F(SystemTest, StatusReportDescribesEveryModule) {
 class RecordingResolver : public NotifyResolver {
  public:
   explicit RecordingResolver(const manager::SubscriptionManager* manager)
-      : inner_(manager) {}
+      : manager_(manager), inner_(manager) {}
 
   void Resolve(const warehouse::IngestResult& ingest,
                const std::vector<mqp::MqpNotification>& matches,
@@ -441,8 +512,7 @@ class RecordingResolver : public NotifyResolver {
   std::vector<reporter::Payload> PayloadsOf(const std::string& subscription) const {
     std::vector<reporter::Payload> out;
     for (const DeliveryAction& action : actions) {
-      if (action.kind == DeliveryAction::Kind::kNotification &&
-          action.subscription == subscription) {
+      if (manager_->binding(action.binding)->subscription == subscription) {
         out.push_back(action.payload);
       }
     }
@@ -452,6 +522,7 @@ class RecordingResolver : public NotifyResolver {
   mutable std::vector<DeliveryAction> actions;
 
  private:
+  const manager::SubscriptionManager* manager_;
   BindingResolver inner_;
 };
 
@@ -575,20 +646,48 @@ report when immediate
 )",
                              "u@x")
                   .ok());
+  // A continuous query waiting on the shared name: one trigger event per
+  // document, not one per matched query.
+  ASSERT_TRUE(monitor_
+                  .Subscribe(R"(
+subscription Listener
+continuous Hits
+select m from any/museum m
+when Twice.Hit
+report when immediate
+)",
+                             "l@x")
+                  .ok());
   RecordingResolver recorder(&monitor_.manager());
   monitor_.pipeline().set_resolver(&recorder);
 
   monitor_.ProcessFetch("http://shop.example/c.xml", "<c>stereo camera</c>");
   EXPECT_EQ(recorder.PayloadsOf("Twice").size(), 1u);
-  size_t triggers = 0;
-  for (const DeliveryAction& action : recorder.actions) {
-    if (action.kind == DeliveryAction::Kind::kTriggerEvent) {
-      EXPECT_EQ(action.event_key, "Twice.Hit");
-      ++triggers;
-    }
-  }
-  EXPECT_EQ(triggers, 1u);
+  ASSERT_EQ(recorder.actions.size(), 1u);
+  const manager::QueryBinding* binding =
+      monitor_.manager().binding(recorder.actions[0].binding);
+  ASSERT_NE(binding, nullptr);
+  EXPECT_EQ(binding->trigger_key, "Twice.Hit");
+  EXPECT_EQ(monitor_.trigger_engine().firings(), 1u);
   EXPECT_EQ(monitor_.stats().notifications, 1u);
+}
+
+// ----------------------------------------------------- Stream golden --
+
+/// The notification stream of tests/stream_golden.h's population: every
+/// mail's (to, subject, body, seq) in outbox order, and the reporter's
+/// received count. A change to match order, dedup, payload sharing or
+/// report order moves it.
+constexpr char kGoldenStream[] =
+    "mails=824 received=1273 digest=9413162cc5b6eb43";
+
+TEST(NotificationStreamTest, GoldenDigestAtOneAndTwoThreadShards) {
+  for (size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    XylemeMonitor::Options options;
+    options.num_shards = shards;
+    EXPECT_EQ(testing::RunGoldenStream(options), kGoldenStream);
+  }
 }
 
 }  // namespace

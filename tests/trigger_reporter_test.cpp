@@ -286,7 +286,9 @@ TEST_F(ReporterTest, RemoveSubscriptionStopsDelivery) {
 TEST_F(ReporterTest, DuplicateRegistrationRejected) {
   ASSERT_TRUE(reporter_.AddSubscription("S", CountSpec(1), {"u@x"}, 0).ok());
   EXPECT_TRUE(
-      reporter_.AddSubscription("S", CountSpec(2), {"u@x"}, 0).IsAlreadyExists());
+      reporter_.AddSubscription("S", CountSpec(2), {"u@x"}, 0)
+          .status()
+          .IsAlreadyExists());
 }
 
 TEST_F(ReporterTest, MalformedPayloadPreservedAsRaw) {
