@@ -7,8 +7,9 @@
 // Simulates both: document partitioning (independent MQP replicas processing
 // disjoint document streams — aggregate throughput) and subscription
 // partitioning (per-partition structure size; every document visits all
-// partitions). The document axis, measured with real shard threads and
-// processes, is bench_pipeline's shard sweep over IngestPipeline.
+// partitions). The document axis with real shard threads and processes runs
+// in perfbench (fanout: 2 thread shards, churn: 2 workers); a shard sweep
+// against a host-capacity control run is still open (ROADMAP).
 
 #include <cstdio>
 #include <memory>

@@ -3,16 +3,22 @@
 //
 // Measures the AES structure footprint across Card(C) and D, then
 // extrapolates linearly to the paper's configuration (the structure grows
-// ~linearly in Card(C)·D: one cell chain per complex event).
+// ~linearly in Card(C)·D: one cell chain per complex event). The same fill
+// times the inserts: every complex event is generated first, so the insert
+// column is the AES tree alone (registration cost, §4.2).
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/mqp/aes_matcher.h"
 
-using xymon::bench::FillMatcher;
+using xymon::Status;
 using xymon::bench::PrintHeader;
+using xymon::bench::TimeMicros;
 using xymon::mqp::AesMatcher;
+using xymon::mqp::ComplexEventId;
+using xymon::mqp::EventSet;
 using xymon::mqp::WorkloadGenerator;
 using xymon::mqp::WorkloadParams;
 
@@ -24,11 +30,11 @@ double Mb(size_t bytes) { return static_cast<double>(bytes) / (1024.0 * 1024.0);
 
 int main() {
   PrintHeader(
-      "T-MEM: AES structure memory vs Card(C) and D\n"
+      "T-MEM: AES structure memory and insert cost vs Card(C) and D\n"
       "(paper: ~500 MB at Card(A)=1e6, Card(C)=1e7, D=10)");
 
-  printf("%10s %4s %14s %12s %16s %14s\n", "Card(C)", "D", "arena (MB)",
-         "live (MB)", "w/ registry (MB)", "bytes/complex");
+  printf("%10s %4s %14s %12s %16s %14s %12s\n", "Card(C)", "D", "arena (MB)",
+         "live (MB)", "w/ registry (MB)", "bytes/complex", "insert (ns)");
   double last_per_complex_d10 = 0;
   for (uint32_t d : {4u, 10u}) {
     for (uint32_t card_c : {10'000u, 100'000u, 500'000u, 1'000'000u}) {
@@ -37,15 +43,23 @@ int main() {
       params.card_c = card_c;
       params.d = d;
       params.seed = 11;
-      WorkloadGenerator gen(params);
+      const std::vector<EventSet> events =
+          WorkloadGenerator(params).GenerateComplexEvents();
       AesMatcher matcher;
-    FillMatcher(&matcher, &gen);
+      const double insert_us = TimeMicros([&] {
+        ComplexEventId id = 0;
+        for (const EventSet& set : events) {
+          Status st = matcher.Insert(id++, set);
+          (void)st;
+        }
+      });
       size_t arena = matcher.StructureBytes();
       size_t live = matcher.LiveBytes();
       size_t total = matcher.MemoryUsage();
       double per_complex = static_cast<double>(live) / card_c;
-      printf("%10u %4u %14.1f %12.1f %16.1f %14.1f\n", card_c, d, Mb(arena),
-             Mb(live), Mb(total), per_complex);
+      printf("%10u %4u %14.1f %12.1f %16.1f %14.1f %12.0f\n", card_c, d,
+             Mb(arena), Mb(live), Mb(total), per_complex,
+             insert_us * 1000.0 / card_c);
       if (d == 10 && card_c == 1'000'000) last_per_complex_d10 = per_complex;
     }
   }

@@ -16,7 +16,6 @@
 
 using xymon::Rng;
 using xymon::alerters::HashPrefixMatcher;
-using xymon::alerters::PrefixMatcher;
 using xymon::alerters::TriePrefixMatcher;
 using xymon::bench::PrintHeader;
 using xymon::bench::TimeMicros;
@@ -55,7 +54,8 @@ std::vector<std::string> MakeUrls(const std::vector<std::string>& prefixes,
   return out;
 }
 
-double LookupsPerSec(const PrefixMatcher& matcher,
+template <typename Matcher>
+double LookupsPerSec(const Matcher& matcher,
                      const std::vector<std::string>& urls) {
   std::vector<xymon::mqp::AtomicEvent> sink;
   double micros = TimeMicros([&] {

@@ -4,21 +4,13 @@
 
 namespace xymon::alerters {
 
-UrlAlerter::UrlAlerter(const Options& options) {
-  if (options.use_trie_for_prefixes) {
-    prefixes_ = std::make_unique<TriePrefixMatcher>();
-  } else {
-    prefixes_ = std::make_unique<HashPrefixMatcher>();
-  }
-}
-
 Status UrlAlerter::Register(mqp::AtomicEvent code, const Condition& c) {
   switch (c.kind) {
     case ConditionKind::kUrlEquals:
       url_equals_[c.str_value] = code;
       break;
     case ConditionKind::kUrlExtends:
-      prefixes_->Add(c.str_value, code);
+      prefixes_.Add(c.str_value, code);
       break;
     case ConditionKind::kFilenameEquals:
       filename_equals_[c.str_value] = code;
@@ -59,7 +51,7 @@ Status UrlAlerter::Unregister(mqp::AtomicEvent code, const Condition& c) {
       url_equals_.erase(c.str_value);
       break;
     case ConditionKind::kUrlExtends:
-      prefixes_->Remove(c.str_value);
+      prefixes_.Remove(c.str_value);
       break;
     case ConditionKind::kFilenameEquals:
       filename_equals_.erase(c.str_value);
@@ -107,7 +99,7 @@ Status UrlAlerter::Unregister(mqp::AtomicEvent code, const Condition& c) {
 
 void UrlAlerter::Detect(const warehouse::DocMeta& meta,
                         std::vector<mqp::AtomicEvent>* out) const {
-  prefixes_->Match(meta.url, out);
+  prefixes_.Match(meta.url, out);
 
   auto probe_str = [&](const std::unordered_map<std::string, mqp::AtomicEvent>&
                            table,

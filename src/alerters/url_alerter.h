@@ -1,7 +1,6 @@
 #ifndef XYMON_ALERTERS_URL_ALERTER_H_
 #define XYMON_ALERTERS_URL_ALERTER_H_
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,16 +23,6 @@ namespace xymon::alerters {
 /// the pipeline sorts the final set once.
 class UrlAlerter {
  public:
-  struct Options {
-    /// Use the trie ("dictionary") for `URL extends`; default is the hash
-    /// structure the paper shipped (the trie costs too much memory at
-    /// millions of patterns, §6.2).
-    bool use_trie_for_prefixes = false;
-  };
-
-  UrlAlerter() : UrlAlerter(Options{}) {}
-  explicit UrlAlerter(const Options& options);
-
   /// Registers `condition` under `code`. InvalidArgument if the condition
   /// kind is not a metadata condition.
   Status Register(mqp::AtomicEvent code, const Condition& condition);
@@ -44,7 +33,6 @@ class UrlAlerter {
               std::vector<mqp::AtomicEvent>* out) const;
 
   size_t condition_count() const { return condition_count_; }
-  const PrefixMatcher& prefix_matcher() const { return *prefixes_; }
 
  private:
   struct DateCondition {
@@ -53,7 +41,9 @@ class UrlAlerter {
     mqp::AtomicEvent code;
   };
 
-  std::unique_ptr<PrefixMatcher> prefixes_;
+  /// `URL extends` patterns in the hash table the paper shipped (the trie
+  /// costs too much memory at millions of patterns, §6.2).
+  HashPrefixMatcher prefixes_;
   std::unordered_map<std::string, mqp::AtomicEvent> url_equals_;
   std::unordered_map<std::string, mqp::AtomicEvent> filename_equals_;
   std::unordered_map<uint64_t, mqp::AtomicEvent> docid_equals_;

@@ -38,7 +38,7 @@ namespace xymon::ipc {
 
 /// "XYMW" — first field of the handshake frame.
 inline constexpr uint32_t kWireMagic = 0x58594D57;
-inline constexpr uint32_t kWireVersion = 2;
+inline constexpr uint32_t kWireVersion = 3;
 /// Frame-length cap, mirroring storage::kMaxLogRecordLen: a corrupt length
 /// field cannot drive an unbounded allocation.
 inline constexpr uint32_t kMaxFrameLen = 64u << 20;  // 64 MiB
@@ -204,17 +204,11 @@ struct HelloMsg {
   static constexpr MsgType kType = MsgType::kHello;
   uint32_t magic = kWireMagic;
   uint32_t version = kWireVersion;
-  uint32_t shard_index = 0;
-  uint32_t num_shards = 1;
-  uint8_t use_trie_prefixes = 0;
-  uint8_t containment = 1;
   uint32_t max_parse_failures = 3;
   std::vector<WireFault> faults;
 
   static auto Fields(auto& m) {
-    return std::tie(m.magic, m.version, m.shard_index, m.num_shards,
-                    m.use_trie_prefixes, m.containment, m.max_parse_failures,
-                    m.faults);
+    return std::tie(m.magic, m.version, m.max_parse_failures, m.faults);
   }
 };
 

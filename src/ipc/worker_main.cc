@@ -117,7 +117,7 @@ class WorkerRuntime {
 
     dtd_registry_ = std::make_unique<RemoteDtdRegistry>(fd_, &pending_);
     shard_ = std::make_unique<system::PipelineShard>(
-        &classifier_, hello_.use_trie_prefixes != 0, hello_.max_parse_failures,
+        &classifier_, hello_.max_parse_failures,
         dtd_registry_.get(), hello_.faults.empty() ? nullptr : &injector_);
 
     query_engine_ = query::QueryEngine(&shard_->warehouse);
@@ -252,7 +252,7 @@ class WorkerRuntime {
 
     system::DocOutcome out;
     system::ProcessDocJob(*shard_, job, msg.docid_hint, msg.now,
-                          hello_.containment != 0, resolver_.get(), &out);
+                          resolver_.get(), &out);
 
     SlotResultMsg result;
     result.batch = msg.batch;

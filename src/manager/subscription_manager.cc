@@ -71,14 +71,6 @@ PayloadRecipe MakePayloadRecipe(const sublang::MonitoringQueryAst& mq,
 
 }  // namespace
 
-Status SubscriptionManager::AttachStorage(
-    const std::string& path, const storage::LogStore::Options& log_options) {
-  auto store = storage::PersistentMap::Open(path, log_options);
-  if (!store.ok()) return store.status();
-  owned_store_ = std::move(store).value();
-  return AttachStore(&*owned_store_);
-}
-
 Status SubscriptionManager::AttachStore(storage::PersistentMap* store) {
   store_ = store;
   if (store_ == nullptr) return Status::OK();

@@ -93,7 +93,7 @@ struct QueryBinding {
 /// distinct sorted EventSet is one complex event in the MQP, listing the
 /// bindings — one per (subscription, disjunct) — that it stands for.
 ///
-/// Persistence: AttachStorage() opens the recovery log (the paper's MySQL
+/// Persistence: AttachStore() attaches the recovery log (the paper's MySQL
 /// substitute) and replays stored subscriptions; every Subscribe /
 /// Unsubscribe is logged.
 class SubscriptionManager {
@@ -125,15 +125,11 @@ class SubscriptionManager {
       : components_(components),
         validator_options_(std::move(validator_options)) {}
 
-  /// Opens (or creates) the durability log at `path` and recovers every
-  /// stored subscription into the live structures. `log_options` tunes
-  /// durability (fsync_every_n = 1 makes every Subscribe crash-proof).
-  Status AttachStorage(const std::string& path,
-                       const storage::LogStore::Options& log_options = {});
-
-  /// Non-owning variant: recovers from (and writes through to) `store`,
-  /// whose lifetime the caller manages (the StorageHub when the monitor
-  /// runs). nullptr detaches.
+  /// Recovers every stored subscription from the durability log `store`
+  /// into the live structures and logs every later change to it. The
+  /// caller owns the store (the StorageHub when the monitor runs); its
+  /// LogStore::Options tune durability (fsync_every_n = 1 makes every
+  /// Subscribe crash-proof). nullptr detaches.
   Status AttachStore(storage::PersistentMap* store);
 
   /// Atomically compacts the recovery log to one record per live
@@ -326,7 +322,6 @@ class SubscriptionManager {
   /// Notification triggers per trigger key ("subscription.query").
   std::unordered_map<std::string, uint32_t> listeners_;
   std::map<std::string, Timestamp> refresh_hints_;
-  std::optional<storage::PersistentMap> owned_store_;
   storage::PersistentMap* store_ = nullptr;
   const UserRegistry* users_ = nullptr;
 };

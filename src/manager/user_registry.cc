@@ -22,14 +22,6 @@ std::optional<User> UserRegistry::Decode(const std::string& name,
   return user;
 }
 
-Status UserRegistry::AttachStorage(
-    const std::string& path, const storage::LogStore::Options& log_options) {
-  auto store = storage::PersistentMap::Open(path, log_options);
-  if (!store.ok()) return store.status();
-  owned_store_ = std::move(store).value();
-  return AttachStore(&*owned_store_);
-}
-
 Status UserRegistry::AttachStore(storage::PersistentMap* store) {
   store_ = store;
   if (store_ == nullptr) return Status::OK();

@@ -22,17 +22,12 @@ struct User {
 
 /// The user store (paper §3: "Information about users such as email
 /// addresses is also stored in this [MySQL] database"). Optionally durable
-/// via AttachStorage.
+/// via AttachStore.
 class UserRegistry {
  public:
-  /// Opens the durable store and recovers existing accounts. `log_options`
-  /// tunes durability and supplies the Env (see LogStore::Options).
-  Status AttachStorage(const std::string& path,
-                       const storage::LogStore::Options& log_options = {});
-
-  /// Non-owning variant: recovers from (and writes through to) `store`,
-  /// whose lifetime the caller manages (the StorageHub when the monitor
-  /// runs). nullptr detaches.
+  /// Recovers existing accounts from (and writes through to) the durable
+  /// `store`, whose lifetime the caller manages (the StorageHub when the
+  /// monitor runs). nullptr detaches.
   Status AttachStore(storage::PersistentMap* store);
 
   /// Atomically compacts the backing store (no-op without storage).
@@ -57,7 +52,6 @@ class UserRegistry {
   Status Persist(const User& user);
 
   std::map<std::string, User> users_;
-  std::optional<storage::PersistentMap> owned_store_;
   storage::PersistentMap* store_ = nullptr;
 };
 

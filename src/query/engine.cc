@@ -91,8 +91,9 @@ bool QueryEngine::Satisfies(const Query& q, const Tuple& tuple) {
   return true;
 }
 
-Status QueryEngine::Bind(const Query& q, const xml::Node* self, size_t index,
-                         Tuple* tuple, std::vector<Tuple>* out) const {
+Status QueryEngine::Bind(const Query& q, const xml::Node* self,
+                         const Domains& domains, size_t index, Tuple* tuple,
+                         std::vector<Tuple>* out) const {
   if (index == q.from.size()) {
     if (Satisfies(q, *tuple)) out->push_back(*tuple);
     return Status::OK();
@@ -117,7 +118,7 @@ Status QueryEngine::Bind(const Query& q, const xml::Node* self, size_t index,
       return Status::FailedPrecondition(
           "query ranges over a domain but the engine has no warehouse");
     }
-    for (const auto& [meta, doc] : warehouse_->DocumentsInDomain(b.domain)) {
+    for (const auto& [meta, doc] : domains.at(b.domain)) {
       (void)meta;
       auto matches = EvalPath(doc->root.get(), b.path);
       // A document root matching the first step directly also counts
@@ -133,7 +134,7 @@ Status QueryEngine::Bind(const Query& q, const xml::Node* self, size_t index,
 
   for (const xml::Node* node : range) {
     tuple->values.push_back(node);
-    XYMON_RETURN_IF_ERROR(Bind(q, self, index + 1, tuple, out));
+    XYMON_RETURN_IF_ERROR(Bind(q, self, domains, index + 1, tuple, out));
     tuple->values.pop_back();
   }
   return Status::OK();
@@ -147,8 +148,18 @@ Result<std::unique_ptr<xml::Node>> QueryEngine::Run(
   if (q.from.empty()) {
     tuples.push_back(Tuple{});
   } else {
+    // Each distinct domain is fetched once, before binding, not once per
+    // outer tuple: a source may free a domain's previous fetch when it is
+    // fetched again (a worker proxy), and tuples point into the documents.
+    Domains domains;
+    for (const FromBinding& b : q.from) {
+      if (warehouse_ != nullptr && !b.from_self && b.source_var.empty() &&
+          !domains.contains(b.domain)) {
+        domains.emplace(b.domain, warehouse_->DocumentsInDomain(b.domain));
+      }
+    }
     Tuple scratch;
-    XYMON_RETURN_IF_ERROR(Bind(q, self, 0, &scratch, &tuples));
+    XYMON_RETURN_IF_ERROR(Bind(q, self, domains, 0, &scratch, &tuples));
   }
 
   std::vector<uint64_t> counts(q.select.size(), 0);

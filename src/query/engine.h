@@ -1,7 +1,10 @@
 #ifndef XYMON_QUERY_ENGINE_H_
 #define XYMON_QUERY_ENGINE_H_
 
+#include <map>
 #include <memory>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -41,11 +44,15 @@ class QueryEngine {
   struct Tuple {
     std::vector<const xml::Node*> values;  // parallel to q.from
   };
+  /// The documents of each domain a query ranges over, fetched once.
+  using Domains = std::map<
+      std::string_view,
+      std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>>;
 
   Result<std::unique_ptr<xml::Node>> Run(const Query& q,
                                          const xml::Node* self) const;
-  Status Bind(const Query& q, const xml::Node* self, size_t index,
-              Tuple* tuple, std::vector<Tuple>* out) const;
+  Status Bind(const Query& q, const xml::Node* self, const Domains& domains,
+              size_t index, Tuple* tuple, std::vector<Tuple>* out) const;
   static const xml::Node* Lookup(const Query& q, const Tuple& tuple,
                                  const std::string& var);
   static bool Satisfies(const Query& q, const Tuple& tuple);

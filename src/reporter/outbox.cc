@@ -49,14 +49,6 @@ bool DecodeEmail(std::string_view data, Email* email) {
 
 }  // namespace
 
-Status Outbox::AttachStorage(const std::string& path,
-                             const storage::LogStore::Options& log_options) {
-  auto store = storage::PersistentMap::Open(path, log_options);
-  if (!store.ok()) return store.status();
-  owned_store_ = std::move(store).value();
-  return AttachStore(&*owned_store_);
-}
-
 Status Outbox::AttachStore(storage::PersistentMap* store) {
   store_ = store;
   if (store_ == nullptr) return Status::OK();

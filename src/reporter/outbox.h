@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,7 @@ struct Email {
 /// retried on later Drain calls, up to Options::max_send_attempts, after
 /// which it is dropped and counted in dropped_after_retries().
 ///
-/// With AttachStorage the outbox is crash-safe: every e-mail is persisted
+/// With AttachStore the outbox is crash-safe: every e-mail is persisted
 /// before the first delivery attempt and erased once delivered (or given
 /// up on), so a restart re-queues exactly the undelivered backlog. The
 /// acknowledge-after-deliver order makes delivery at-least-once — a crash
@@ -61,15 +60,10 @@ class Outbox {
   Outbox() : Outbox(Options{}) {}
   explicit Outbox(const Options& options) : options_(options) {}
 
-  /// Opens the durable backlog at `path`: recovers undelivered e-mails into
-  /// the queue (in seq order) and the seq counter past every number ever
-  /// assigned. `log_options` tunes durability and supplies the Env.
-  Status AttachStorage(const std::string& path,
-                       const storage::LogStore::Options& log_options = {});
-
-  /// Non-owning variant: recovers from (and writes through to) `store`,
-  /// whose lifetime the caller manages (the StorageHub when the monitor
-  /// runs). nullptr detaches.
+  /// Attaches the durable backlog `store`: recovers undelivered e-mails
+  /// into the queue (in seq order) and the seq counter past every number
+  /// ever assigned, then writes through to it. The caller owns the store
+  /// (the StorageHub when the monitor runs). nullptr detaches.
   Status AttachStore(storage::PersistentMap* store);
 
   /// Atomically compacts the backing store (no-op without storage).
@@ -114,7 +108,6 @@ class Outbox {
   SendHook send_hook_;
   std::vector<Email> sent_;
   std::vector<Email> queue_;
-  std::optional<storage::PersistentMap> owned_store_;
   storage::PersistentMap* store_ = nullptr;
   uint64_t next_seq_ = 1;
   uint64_t sent_count_ = 0;

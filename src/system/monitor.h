@@ -74,8 +74,8 @@ class XylemeMonitor : private DeliverySink {
   static Result<std::unique_ptr<XylemeMonitor>> Open(const Clock* clock,
                                                      const Options& options);
 
-  /// First error any AttachStorage produced during construction (OK when
-  /// all stores opened, or none were configured).
+  /// First error opening or attaching a store during construction (OK
+  /// when all stores opened, or none were configured).
   const Status& storage_status() const { return storage_status_; }
 
   /// First error an automatic shard restart produced (OK when none failed

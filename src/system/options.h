@@ -34,8 +34,6 @@ struct SystemOptions {
   /// Document-flow partitions (paper §4.2). 1 runs the shard on the caller
   /// thread; N > 1 runs N shard worker threads (or processes).
   size_t num_shards = 1;
-  /// Trie vs hash `URL extends` structure, per shard (see DESIGN.md T-URL).
-  bool use_trie_prefixes = false;
   /// Subscription recovery log path; "" disables persistence.
   std::string storage_path;
   /// Warehouse store path; "" keeps the repository in memory only. The
@@ -66,12 +64,6 @@ struct SystemOptions {
 
   // -- Self-healing pipeline (DESIGN.md §13) ------------------------------
 
-  /// Stage containment: every stage call is guarded, so a stage that
-  /// throws fails its document instead of the process, and the poison
-  /// tracker and shard health accounting run. Off restores the seed's
-  /// die-on-throw behaviour (the bench baseline for the
-  /// containment-overhead comparison).
-  bool fault_containment = true;
   /// Batch deadline in ms (0 = none). A batch whose barrier has not
   /// released by then is failed by the watchdog: unprocessed slots get
   /// DeadlineExceeded outcomes and the stuck shards are quarantined. One

@@ -100,12 +100,10 @@ const char* ShardHealthName(ShardHealth health) {
 }
 
 PipelineShard::PipelineShard(const warehouse::DomainClassifier* classifier,
-                             bool use_trie_prefixes,
                              uint32_t max_parse_failures,
                              warehouse::DtdRegistry* dtd_registry,
                              StageFaultInjector* faults)
     : warehouse(classifier),
-      url_alerter(alerters::UrlAlerter::Options{use_trie_prefixes}),
       alert_pipeline(&url_alerter, &xml_alerter, &html_alerter),
       ingest_stage(std::make_unique<WarehouseIngestStage>(&warehouse)),
       detect_stage(std::make_unique<AlerterDetectStage>(&alert_pipeline)),
@@ -321,8 +319,7 @@ class IngestPipeline::ThreadTransport : public ShardTransport {
   DocOutcome Run(const BatchState& batch, size_t slot, uint64_t docid_hint) {
     DocOutcome out;
     ProcessDocJob(*shard_, batch.jobs[slot], docid_hint, batch.now,
-                  pipeline_->options_.fault_containment, pipeline_->resolver_,
-                  &out);
+                  pipeline_->resolver_, &out);
     return out;
   }
 
@@ -383,8 +380,7 @@ class IngestPipeline::ThreadTransport : public ShardTransport {
 
 std::unique_ptr<PipelineShard> IngestPipeline::MakeShard() {
   return std::make_unique<PipelineShard>(
-      classifier_, options_.use_trie_prefixes,
-      options_.max_parse_failures_per_url, &dtd_registry_,
+      classifier_, options_.max_parse_failures_per_url, &dtd_registry_,
       options_.stage_faults);
 }
 
@@ -470,19 +466,13 @@ uint64_t IngestPipeline::AssignDocid(const DocJob& job) {
 }
 
 void ProcessDocJob(PipelineShard& shard, const DocJob& job,
-                   uint64_t docid_hint, Timestamp now, bool containment,
+                   uint64_t docid_hint, Timestamp now,
                    const NotifyResolver* resolver, DocOutcome* outp) {
   DocOutcome& out = *outp;
   StageCounters ingest_delta, detect_delta, match_delta, notify_delta;
 
   // Containment: a stage that throws fails this document, not the process.
-  // With containment off the exception escapes (the seed's behaviour, and
-  // the bench baseline).
   auto guarded = [&](const char* stage_name, auto&& fn) -> bool {
-    if (!containment) {
-      fn();
-      return true;
-    }
     try {
       fn();
       return true;
@@ -572,7 +562,7 @@ void IngestPipeline::ProcessBatch(std::vector<DocJob> jobs, Timestamp now,
   auto state = std::make_shared<BatchState>();
   state->jobs = std::move(jobs);
   state->now = now;
-  if (options_.fault_containment && options_.batch_deadline_ms > 0) {
+  if (options_.batch_deadline_ms > 0) {
     state->deadline =
         steady::now() + std::chrono::milliseconds(options_.batch_deadline_ms);
   }
@@ -591,7 +581,7 @@ void IngestPipeline::ProcessBatch(std::vector<DocJob> jobs, Timestamp now,
   for (size_t i = 0; i < n; ++i) {
     const DocJob& job = state->jobs[i];
     const uint64_t hint = AssignDocid(job);
-    if (options_.fault_containment && poisoned_.count(job.url) != 0) {
+    if (poisoned_.count(job.url) != 0) {
       ++poison_rejections_;
       state->Publish(i, DocOutcome::Failure(
                             "poisoned",
@@ -657,7 +647,6 @@ void IngestPipeline::ProcessBatch(std::vector<DocJob> jobs, Timestamp now,
 
 void IngestPipeline::UpdateBatchAccounting(
     const std::vector<DocJob>& jobs, const std::vector<DocOutcome>& outcomes) {
-  if (!options_.fault_containment) return;
   std::vector<uint64_t> failures(shards_.size(), 0);
   std::vector<uint8_t> touched(shards_.size(), 0);
   for (size_t i = 0; i < jobs.size(); ++i) {

@@ -48,12 +48,12 @@ namespace xymon::system {
 // pipeline runs the same scatter/barrier/gather with the shard's stages on
 // the caller thread, delivering after the batch like N shards do.
 //
-// The pipeline is self-healing (DESIGN.md §13): with containment on, a
-// stage that throws fails only its document's DocOutcome, a URL that keeps
-// killing a stage is quarantined (the poison tracker), a batch that runs
-// past its deadline is failed cleanly by the watchdog (the barrier always
-// releases), and a shard marked quarantined can be torn down and rebuilt
-// from its durable StorageHub partition (RestartShard).
+// The pipeline is self-healing (DESIGN.md §13): a stage that throws fails
+// only its document's DocOutcome, a URL that keeps killing a stage is
+// quarantined (the poison tracker), a batch that runs past its deadline is
+// failed cleanly by the watchdog (the barrier always releases), and a shard
+// marked quarantined can be torn down and rebuilt from its durable
+// StorageHub partition (RestartShard).
 // ---------------------------------------------------------------------------
 
 /// One unit of work entering the pipeline.
@@ -207,7 +207,7 @@ struct PipelineStats {
   /// Deepest shard work queue observed (thread shards only, and only with
   /// more than one: a single shard runs on the caller thread, unqueued).
   uint64_t queue_high_water = 0;
-  // -- Self-healing counters (all zero with containment off) ----------------
+  // -- Self-healing counters ------------------------------------------------
   // Failed documents are counted once, in XylemeMonitor::Stats.
   uint64_t stage_failures = 0;      // contained stage throws, all shards
   uint64_t deadline_exceeded = 0;   // slots failed by the watchdog
@@ -307,7 +307,7 @@ struct PipelineShard {
   /// index, the warehouse's parse-failure cap and DTD registry, and, when
   /// `faults` is set, the FaultyStage decorators over the three stage seams.
   PipelineShard(const warehouse::DomainClassifier* classifier,
-                bool use_trie_prefixes, uint32_t max_parse_failures,
+                uint32_t max_parse_failures,
                 warehouse::DtdRegistry* dtd_registry,
                 StageFaultInjector* faults);
 
@@ -352,7 +352,7 @@ struct PipelineShard {
 /// the identical code path over its own PipelineShard as the in-process
 /// transport does.
 void ProcessDocJob(PipelineShard& shard, const DocJob& job,
-                   uint64_t docid_hint, Timestamp now, bool containment,
+                   uint64_t docid_hint, Timestamp now,
                    const NotifyResolver* resolver, DocOutcome* out);
 
 // -- The shard substrate ------------------------------------------------------
@@ -432,7 +432,8 @@ class ShardTransport {
   }
 
   /// Appends the shard's documents in `domain` ("" = all) to `out`; the
-  /// pointers stay valid until the next call or mutation.
+  /// pointers stay valid until the next call for the same domain or the
+  /// next mutation.
   virtual void CollectDocuments(
       std::string_view domain,
       std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>*
@@ -521,9 +522,6 @@ class IngestPipeline {
   /// immediately with Unavailable (its partition is what the upcoming
   /// restart rebuilds from).
   std::shared_ptr<CheckpointTicket> CheckpointWarehousesAsync();
-
-  /// Synchronous convenience over CheckpointWarehousesAsync().
-  Status CheckpointWarehouses() { return CheckpointWarehousesAsync()->Wait(); }
 
   // -- Self-healing (DESIGN.md §13) -----------------------------------------
 

@@ -111,10 +111,6 @@ ShardWorkerProxy::ShardWorkerProxy(
       classifier_(classifier),
       replay_log_(std::move(replay_log)),
       supervision_(std::move(supervision)) {
-  hello_.shard_index = static_cast<uint32_t>(shard_index);
-  hello_.num_shards = static_cast<uint32_t>(options.num_shards);
-  hello_.use_trie_prefixes = options.use_trie_prefixes ? 1 : 0;
-  hello_.containment = options.fault_containment ? 1 : 0;
   hello_.max_parse_failures = options.max_parse_failures_per_url;
   if (options.stage_faults != nullptr) {
     for (const StageFaultSpec& f : options.stage_faults->plan().faults) {
@@ -384,11 +380,13 @@ void ShardWorkerProxy::CollectDocuments(
     std::string_view domain,
     std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>*
         out) {
-  // Pointers handed out by the previous call die here. The contract
-  // matches the warehouse's (valid until the next mutation); the query
-  // engine consumes them within one evaluation under the monitor's API
-  // serialization.
-  documents_.clear();
+  // Pointers handed out by the previous call for this domain die here; a
+  // query engine fetches each domain once per evaluation, so the documents
+  // of its other bindings stay alive (the monitor's API serialization
+  // keeps evaluations apart).
+  std::vector<std::unique_ptr<OwnedDoc>>& held =
+      documents_[std::string(domain)];
+  held.clear();
   uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -420,7 +418,7 @@ void ShardWorkerProxy::CollectDocuments(
     m.signature = doc.meta.signature;
     m.status = static_cast<warehouse::DocStatus>(doc.meta.status);
     out->emplace_back(&owned->meta, &owned->document);
-    documents_.push_back(std::move(owned));
+    held.push_back(std::move(owned));
   }
 }
 

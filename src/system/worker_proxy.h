@@ -207,8 +207,9 @@ class ShardWorkerProxy : public ShardTransport {
   uint64_t query_seq_ = 1u << 20;  // distinct range from command seqs
 
   PipelineShard* counter_shard_ = nullptr;
-  /// Documents handed out by the last CollectDocuments (caller thread only).
-  std::vector<std::unique_ptr<OwnedDoc>> documents_;
+  /// Documents handed out by the last CollectDocuments of each domain
+  /// (caller thread only).
+  std::map<std::string, std::vector<std::unique_ptr<OwnedDoc>>> documents_;
 
   // Telemetry.
   uint64_t respawns_ = 0;

@@ -116,18 +116,6 @@ void Warehouse::PersistCounters() {
   (void)store_->Put(kCountersKey, out);
 }
 
-Status Warehouse::AttachStorage(const std::string& path,
-                                const storage::LogStore::Options& options) {
-  auto store = storage::PersistentMap::Open(path, options);
-  if (!store.ok()) return store.status();
-  owned_store_ = std::move(store).value();
-  // Every content change appends a full document record; compact when the
-  // log reaches 64 MB so update churn cannot grow it without bound.
-  // (Hub-owned stores get their bound from StorageHub::Options instead.)
-  owned_store_->SetAutoCheckpoint(64u << 20);
-  return AttachStore(&*owned_store_);
-}
-
 Status Warehouse::AttachStore(storage::PersistentMap* store) {
   store_ = store;
   if (store_ == nullptr) return Status::OK();

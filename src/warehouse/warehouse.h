@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -107,16 +106,11 @@ class Warehouse : public DocumentSource {
 
   /// Makes the repository durable (the paper's warehouse — Natix — is a
   /// persistent store): current versions, metadata, DOCID/DTDID counters
-  /// and XID allocators are written through to `path` and recovered by the
-  /// next Open (the first post-restart fetch of a changed page diffs
-  /// against the recovered current version). Call before the first Ingest.
-  /// `options` tunes durability and supplies the Env (see LogStore::Options).
-  Status AttachStorage(const std::string& path,
-                       const storage::LogStore::Options& options = {});
-
-  /// Non-owning variant: recovers from (and writes through to) `store`,
-  /// whose lifetime the caller manages — when the monitor runs, every store
-  /// is owned by the StorageHub (DESIGN.md §12). nullptr detaches.
+  /// and XID allocators are recovered from and written through to `store`
+  /// (the first post-restart fetch of a changed page diffs against the
+  /// recovered current version). Call before the first Ingest. The caller
+  /// owns the store — when the monitor runs, the StorageHub owns every
+  /// store (DESIGN.md §12). nullptr detaches.
   Status AttachStore(storage::PersistentMap* store);
 
   /// Atomically compacts the backing store (no-op without storage).
@@ -184,7 +178,7 @@ class Warehouse : public DocumentSource {
   uint32_t DtdIdFor(const std::string& dtd_url);
 
   /// Shares DTD-id assignment with other warehouse partitions. Call before
-  /// the first Ingest/AttachStorage. The local table still records the ids
+  /// the first Ingest/AttachStore. The local table still records the ids
   /// this partition saw (it is what gets persisted).
   void set_dtd_registry(DtdRegistry* registry) { dtd_registry_ = registry; }
 
@@ -227,7 +221,6 @@ class Warehouse : public DocumentSource {
   bool versioning_ = false;
   size_t max_deltas_ = 16;
   uint32_t max_parse_failures_ = 3;
-  std::optional<storage::PersistentMap> owned_store_;
   storage::PersistentMap* store_ = nullptr;
   std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
   std::unordered_map<std::string, uint32_t> dtd_ids_;

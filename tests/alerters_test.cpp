@@ -266,17 +266,6 @@ TEST_F(UrlAlerterTest, RejectsContentConditions) {
   EXPECT_TRUE(alerter_.Register(1, c).IsInvalidArgument());
 }
 
-TEST_F(UrlAlerterTest, TrieBackendBehavesTheSame) {
-  UrlAlerter trie_alerter(UrlAlerter::Options{true});
-  ASSERT_TRUE(trie_alerter
-                  .Register(1, Cond(ConditionKind::kUrlExtends,
-                                    "http://inria.fr/Xy/"))
-                  .ok());
-  std::vector<AtomicEvent> out;
-  trie_alerter.Detect(Meta(), &out);
-  EXPECT_EQ(out, (std::vector<AtomicEvent>{1}));
-}
-
 // -------------------------------------------------------------- XmlAlerter --
 
 class XmlAlerterTest : public ::testing::Test {

@@ -375,8 +375,10 @@ TEST(CrashSweep, OutboxBacklogSurvivesRestart) {
 
   std::set<uint64_t> assigned;
   {
+    auto store = storage::PersistentMap::Open("outbox", log_options);
+    ASSERT_TRUE(store.ok());
     reporter::Outbox outbox;
-    ASSERT_TRUE(outbox.AttachStorage("outbox", log_options).ok());
+    ASSERT_TRUE(outbox.AttachStore(&*store).ok());
     outbox.set_send_hook([](const reporter::Email&) { return false; });
     for (int i = 0; i < 5; ++i) {
       outbox.Send({"u@x", "s" + std::to_string(i), "b", 100, 0, 0});
@@ -385,8 +387,10 @@ TEST(CrashSweep, OutboxBacklogSurvivesRestart) {
     EXPECT_EQ(outbox.queued_count(), 5u);
   }  // Process dies with the daemon still down.
 
+  auto store = storage::PersistentMap::Open("outbox", log_options);
+  ASSERT_TRUE(store.ok());
   reporter::Outbox outbox;
-  ASSERT_TRUE(outbox.AttachStorage("outbox", log_options).ok());
+  ASSERT_TRUE(outbox.AttachStore(&*store).ok());
   EXPECT_EQ(outbox.queued_count(), 5u);
   std::set<uint64_t> delivered;
   outbox.set_send_hook([&](const reporter::Email& email) {

@@ -2,7 +2,7 @@
 // supervisor/worker handshake, and kill-and-restart containment.
 //
 // Five tiers:
-//   1. Wire format — frame/message roundtrips, the pinned version-2 bytes
+//   1. Wire format — frame/message roundtrips, the pinned version-3 bytes
 //      of one frame of every type, then the corruption sweep: truncations,
 //      bit flips, oversized length headers and seeded garbage against both
 //      the frame reader and every message decoder (clean Status, never a
@@ -137,10 +137,6 @@ TEST(WireFrameTest, ReadDeadlineExpiresWithoutData) {
 
 TEST(WireMessageTest, HelloRoundtripsWithFaultPlan) {
   ipc::HelloMsg msg;
-  msg.shard_index = 3;
-  msg.num_shards = 4;
-  msg.use_trie_prefixes = 1;
-  msg.containment = 0;
   msg.max_parse_failures = 7;
   msg.faults.push_back({2, 1, 5, 1500, "http://w0.example/doc.xml"});
   msg.faults.push_back({1, 3, 1, 0, "http://w1.example/x.xml"});
@@ -153,10 +149,6 @@ TEST(WireMessageTest, HelloRoundtripsWithFaultPlan) {
   ASSERT_TRUE(ipc::Decode(payload, &got).ok());
   EXPECT_EQ(got.magic, ipc::kWireMagic);
   EXPECT_EQ(got.version, ipc::kWireVersion);
-  EXPECT_EQ(got.shard_index, 3u);
-  EXPECT_EQ(got.num_shards, 4u);
-  EXPECT_EQ(got.use_trie_prefixes, 1);
-  EXPECT_EQ(got.containment, 0);
   EXPECT_EQ(got.max_parse_failures, 7u);
   ASSERT_EQ(got.faults.size(), 2u);
   EXPECT_EQ(got.faults[0].stage, 2);
@@ -318,7 +310,7 @@ TEST(WireMessageTest, SmallMessagesRoundtrip) {
 /// decoder sweep walk MsgType from kHello to kShutdown and fail on a type
 /// missing here, so a frame added later cannot skip them.
 const auto kSamples = std::make_tuple(
-    ipc::HelloMsg{ipc::kWireMagic, ipc::kWireVersion, 1, 4, 1, 0, 3,
+    ipc::HelloMsg{ipc::kWireMagic, ipc::kWireVersion, 3,
                   {{2, 1, 5, 1500, "http://u"},
                    {1, 3, 1, 0, "http://v/x.xml"}}},
     ipc::HelloAckMsg{1, 1234},
@@ -392,13 +384,13 @@ std::string Hex(std::string_view bytes) {
   return out;
 }
 
-TEST(WireMessageTest, EveryFrameKeepsItsVersion2Bytes) {
-  // The version-2 bytes of each sample frame, one string per field. Any
+TEST(WireMessageTest, EveryFrameKeepsItsVersion3Bytes) {
+  // The version-3 bytes of each sample frame, one string per field. Any
   // change here is a wire format change: bump kWireVersion together with
   // this table.
   const std::map<MsgType, std::string> golden = {
       {MsgType::kHello,
-       "01" "574d5958" "02000000" "01000000" "04000000" "01" "00" "03000000"
+       "01" "574d5958" "03000000" "03000000"
        "02000000"
        "02" "01" "05000000" "dc050000" "08000000" "687474703a2f2f75"
        "01" "03" "01000000" "00000000" "0e000000"
@@ -453,7 +445,7 @@ TEST(WireMessageTest, EveryFrameKeepsItsVersion2Bytes) {
       {MsgType::kDtdIdResp, "11" "07000000" "6172742e647464" "04000000"},
       {MsgType::kShutdown, "12"},
   };
-  EXPECT_EQ(ipc::kWireVersion, 2u);
+  EXPECT_EQ(ipc::kWireVersion, 3u);
   for (auto t = static_cast<uint8_t>(MsgType::kHello);
        t <= static_cast<uint8_t>(MsgType::kShutdown); ++t) {
     const auto type = static_cast<MsgType>(t);
@@ -883,6 +875,66 @@ TEST(ProcessModeTest, NotificationStreamGoldenOnTwoWorkers) {
   options.worker_binary = kWorkerBin;
   EXPECT_EQ(testing::RunGoldenStream(options),
             "mails=824 received=1273 digest=9413162cc5b6eb43");
+}
+
+constexpr char kTwoDomainQuery[] = R"(
+subscription Deals
+continuous Pairs
+select p/name, a/title from shop//Product p, press//article a
+where a/title contains "sale"
+when daily
+report when immediate
+)";
+
+/// The mail (to, body) of one daily continuous query that joins the `shop`
+/// and `press` domains, over two rounds of 6 catalog and 6 news pages, on
+/// 2 shards of `mode`.
+std::vector<std::pair<std::string, std::string>> TwoDomainMail(
+    ShardMode mode) {
+  SimClock clock(1000);
+  XylemeMonitor::Options options;
+  options.num_shards = 2;
+  options.shard_mode = mode;
+  options.worker_binary = kWorkerBin;
+  XylemeMonitor monitor(&clock, options);
+  EXPECT_TRUE(monitor.pipeline().worker_status().ok());
+  monitor.AddDomainRule({"shop", "", "catalog", ""});
+  monitor.AddDomainRule({"press", "", "news", ""});
+  EXPECT_TRUE(monitor.Subscribe(kTwoDomainQuery, "buyer@x").ok());
+  for (int round = 1; round <= 2; ++round) {
+    std::vector<webstub::FetchedDoc> batch;
+    for (int j = 0; j < 6; ++j) {
+      const std::string tag = std::to_string(j) + "-" + std::to_string(round);
+      batch.push_back({"http://shop.example/c" + std::to_string(j) + ".xml",
+                       "<catalog><Product><name>item" + tag +
+                           "</name></Product></catalog>"});
+      batch.push_back({"http://press.example/n" + std::to_string(j) + ".xml",
+                       "<news><article><title>" +
+                           std::string(j % 2 == 0 ? "sale " : "note ") + tag +
+                           "</title></article></news>"});
+    }
+    monitor.ProcessFetchBatch(batch);
+    clock.Advance(kDay);
+    monitor.Tick();
+  }
+  std::vector<std::pair<std::string, std::string>> mail;
+  for (const reporter::Email& email : monitor.outbox().sent()) {
+    mail.emplace_back(email.to, email.body);
+  }
+  return mail;
+}
+
+TEST(ProcessModeTest, TwoDomainBindingsMatchThreadMode) {
+  // The inner `press` binding ranges over its domain for every outer `shop`
+  // tuple. A worker proxy frees a domain's previous fetch when it fetches
+  // that domain again, so the engine fetches each domain once per
+  // evaluation and the `shop` documents stay alive under the tuple.
+  const auto threads = TwoDomainMail(ShardMode::kThread);
+  ASSERT_EQ(threads.size(), 2u);
+  EXPECT_NE(threads[0].second.find("item5-1"), std::string::npos);
+  EXPECT_NE(threads[0].second.find("sale 4-1"), std::string::npos);
+  EXPECT_EQ(threads[0].second.find("note"), std::string::npos);
+  EXPECT_EQ(TwoDomainMail(ShardMode::kProcess), threads);
 }
 
 TEST(ProcessModeTest, StatusReportListsWorkersOnlyInProcessMode) {

@@ -9,6 +9,7 @@
 
 #include "src/manager/subscription_manager.h"
 #include "src/mqp/aes_matcher.h"
+#include "src/storage/persistent_map.h"
 
 namespace xymon::manager {
 namespace {
@@ -598,6 +599,8 @@ TEST_F(ManagerPersistenceTest, SubscriptionsSurviveRestart) {
 
   // "Process 1": subscribe and drop everything.
   {
+    auto store = storage::PersistentMap::Open(path);
+    ASSERT_TRUE(store.ok());
     SimClock clock;
     warehouse::Warehouse wh;
     mqp::MonitoringQueryProcessor mqp;
@@ -611,7 +614,7 @@ TEST_F(ManagerPersistenceTest, SubscriptionsSurviveRestart) {
     reporter::Reporter rep(&outbox, &qe);
     SubscriptionManager mgr(SubscriptionManager::Components{
         {{&mqp, &url, &xml, &html, &pipeline}}, &te, &rep, &qe, &clock});
-    ASSERT_TRUE(mgr.AttachStorage(path).ok());
+    ASSERT_TRUE(mgr.AttachStore(&*store).ok());
     ASSERT_TRUE(mgr.Subscribe(kSimpleSub, "a@x").ok());
     ASSERT_TRUE(mgr.Subscribe(kOtherSub, "b@x").ok());
     ASSERT_TRUE(mgr.AddRecipient("Simple", "extra@x").ok());
@@ -619,6 +622,8 @@ TEST_F(ManagerPersistenceTest, SubscriptionsSurviveRestart) {
   }
 
   // "Process 2": recover.
+  auto store = storage::PersistentMap::Open(path);
+  ASSERT_TRUE(store.ok());
   SimClock clock;
   warehouse::Warehouse wh;
   mqp::MonitoringQueryProcessor mqp;
@@ -632,7 +637,7 @@ TEST_F(ManagerPersistenceTest, SubscriptionsSurviveRestart) {
   reporter::Reporter rep(&outbox, &qe);
   SubscriptionManager mgr(SubscriptionManager::Components{
       {{&mqp, &url, &xml, &html, &pipeline}}, &te, &rep, &qe, &clock});
-  ASSERT_TRUE(mgr.AttachStorage(path).ok());
+  ASSERT_TRUE(mgr.AttachStore(&*store).ok());
   EXPECT_EQ(mgr.subscription_count(), 1u);
   EXPECT_EQ(mqp.matcher().size(), 1u);
   EXPECT_EQ(url.condition_count(), 1u);
@@ -645,16 +650,20 @@ TEST_F(ManagerPersistenceTest, SubscriptionsSurviveRestart) {
 TEST_F(ManagerPersistenceTest, UsersSurviveRestart) {
   std::string path = dir_ / "users.log";
   {
+    auto store = storage::PersistentMap::Open(path);
+    ASSERT_TRUE(store.ok());
     UserRegistry users;
-    ASSERT_TRUE(users.AttachStorage(path).ok());
+    ASSERT_TRUE(users.AttachStore(&*store).ok());
     ASSERT_TRUE(users.AddUser({"bob", "bob@x", true}).ok());
     ASSERT_TRUE(users.AddUser({"eve", "eve@x", false}).ok());
     ASSERT_TRUE(users.SetPrivileged("eve", true).ok());
     ASSERT_TRUE(users.AddUser({"gone", "g@x", false}).ok());
     ASSERT_TRUE(users.RemoveUser("gone").ok());
   }
+  auto store = storage::PersistentMap::Open(path);
+  ASSERT_TRUE(store.ok());
   UserRegistry users;
-  ASSERT_TRUE(users.AttachStorage(path).ok());
+  ASSERT_TRUE(users.AttachStore(&*store).ok());
   EXPECT_EQ(users.user_count(), 2u);
   ASSERT_TRUE(users.Find("bob").has_value());
   EXPECT_TRUE(users.Find("bob")->privileged);

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "src/query/delta_tracker.h"
 #include "src/query/engine.h"
 #include "src/query/query.h"
@@ -108,6 +114,43 @@ TEST_F(QueryEngineTest, JoinWithContainsFilter) {
   ASSERT_EQ((*result)->child_count(), 2u);
   EXPECT_EQ((*result)->child(0)->TextContent(), "NightWatch");
   EXPECT_EQ((*result)->child(1)->TextContent(), "Milkmaid");
+}
+
+/// Counts DocumentsInDomain calls per domain over another source.
+class CountingSource : public warehouse::DocumentSource {
+ public:
+  explicit CountingSource(const warehouse::DocumentSource* inner)
+      : inner_(inner) {}
+
+  std::vector<std::pair<const warehouse::DocMeta*, const xml::Document*>>
+  DocumentsInDomain(std::string_view domain) const override {
+    ++calls[std::string(domain)];
+    return inner_->DocumentsInDomain(domain);
+  }
+
+  mutable std::map<std::string, int> calls;
+
+ private:
+  const warehouse::DocumentSource* inner_;
+};
+
+TEST_F(QueryEngineTest, FetchesEachDistinctDomainOncePerEvaluation) {
+  // 2 museums x 3 paintings x 2 museums: fetching a domain binding per
+  // outer tuple would ask for `culture` 3 times and for `any` 6 times.
+  CountingSource source(warehouse_.get());
+  QueryEngine engine(&source);
+  Query q = MustParseQuery("Triples",
+                           "select m/name from culture/museum m, "
+                           "culture//painting p, any/museum o");
+  auto result = engine.Evaluate(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ((*result)->child_count(), 12u);
+  EXPECT_EQ((*result)->child(0)->TextContent(), "Rijks");
+  EXPECT_EQ((*result)->child(6)->TextContent(), "Louvre");
+  EXPECT_EQ(source.calls, (std::map<std::string, int>{{"", 1}, {"culture", 1}}));
+
+  ASSERT_TRUE(engine.Evaluate(q).ok());
+  EXPECT_EQ(source.calls, (std::map<std::string, int>{{"", 2}, {"culture", 2}}));
 }
 
 TEST_F(QueryEngineTest, EqualsFilter) {

@@ -152,37 +152,102 @@ TEST(StorageHubTest, StaleEpochCommitIsIgnored) {
   EXPECT_EQ((*hub)->last_committed_epoch(), second);
 }
 
+constexpr char kManifest[] = "hub/wh.manifest";
+
+std::string ReadManifest(storage::Env* env) {
+  auto file = env->NewSequentialFile(kManifest);
+  EXPECT_TRUE(file.ok());
+  std::string text;
+  char buf[4096];
+  for (;;) {
+    auto n = (*file)->Read(sizeof(buf), buf);
+    EXPECT_TRUE(n.ok());
+    if (*n == 0) break;
+    text.append(buf, *n);
+  }
+  return text;
+}
+
+void WriteManifest(storage::Env* env, const std::string& text) {
+  auto file = env->NewWritableFile(kManifest, /*truncate=*/true);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append(text).ok());
+  ASSERT_TRUE((*file)->Close().ok());
+}
+
 TEST(StorageHubTest, CorruptManifestIsCorruptionNotALayout) {
   storage::MemEnv env;
   SeedHub(&env, 4);
 
-  auto content = [&] {
-    auto file = env.NewSequentialFile("hub/wh.manifest");
-    EXPECT_TRUE(file.ok());
-    std::string text;
-    char buf[4096];
-    for (;;) {
-      auto n = (*file)->Read(sizeof(buf), buf);
-      EXPECT_TRUE(n.ok());
-      if (*n == 0) break;
-      text.append(buf, *n);
-    }
-    return text;
-  }();
+  const std::string content = ReadManifest(&env);
   ASSERT_NE(content.find("partitions 4"), std::string::npos);
 
   // Flip the partition count without fixing the CRC: the hub must refuse
   // the manifest rather than trust a damaged layout.
   std::string bad = content;
   bad.replace(bad.find("partitions 4"), 12, "partitions 9");
-  auto file = env.NewWritableFile("hub/wh.manifest", /*truncate=*/true);
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE((*file)->Append(bad).ok());
-  ASSERT_TRUE((*file)->Close().ok());
+  WriteManifest(&env, bad);
 
   auto hub = StorageHub::Open(HubOptions(&env, 4));
   ASSERT_FALSE(hub.ok());
   EXPECT_EQ(hub.status().code(), StatusCode::kCorruption);
+}
+
+TEST(StorageHubTest, EveryManifestBitFlipAndTruncationIsCaught) {
+  // A manifest with a non-zero generation and epoch: seed 4 partitions,
+  // reshard to 2, commit another epoch.
+  storage::MemEnv env;
+  SeedHub(&env, 4);
+  uint64_t generation = 0;
+  uint64_t epoch = 0;
+  {
+    auto hub = StorageHub::Open(HubOptions(&env, 2));
+    ASSERT_TRUE(hub.ok()) << hub.status().message();
+    ASSERT_TRUE((*hub)->CheckpointAll().ok());
+    generation = (*hub)->generation();
+    epoch = (*hub)->last_committed_epoch();
+  }
+  ASSERT_GT(generation, 0u);
+  ASSERT_GT(epoch, 1u);
+  const std::string manifest = ReadManifest(&env);
+  ASSERT_FALSE(manifest.empty());
+
+  // Each damaged manifest is refused as Corruption, or read as the same
+  // layout: a hub never opens on a layout the manifest did not commit.
+  size_t refused = 0;
+  auto check = [&](const std::string& damaged, const std::string& what) {
+    WriteManifest(&env, damaged);
+    auto hub = StorageHub::Open(HubOptions(&env, 2));
+    if (!hub.ok()) {
+      EXPECT_EQ(hub.status().code(), StatusCode::kCorruption) << what;
+      ++refused;
+      return;
+    }
+    EXPECT_EQ((*hub)->generation(), generation) << what;
+    EXPECT_EQ((*hub)->partition_count(), 2u) << what;
+    EXPECT_EQ((*hub)->last_committed_epoch(), epoch) << what;
+    EXPECT_FALSE((*hub)->resharded_on_open()) << what;
+  };
+  for (size_t i = 0; i < manifest.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = manifest;
+      damaged[i] = static_cast<char>(damaged[i] ^ (1 << bit));
+      check(damaged, "flip byte " + std::to_string(i) + " bit " +
+                         std::to_string(bit));
+    }
+  }
+  for (size_t len = 0; len < manifest.size(); ++len) {
+    check(manifest.substr(0, len), "truncate to " + std::to_string(len));
+  }
+  // CRC-32 catches every single-bit error, so at least every flip refuses.
+  EXPECT_GE(refused, manifest.size() * 8);
+
+  WriteManifest(&env, manifest);
+  auto hub = StorageHub::Open(HubOptions(&env, 2));
+  ASSERT_TRUE(hub.ok()) << hub.status().message();
+  EXPECT_EQ((*hub)->generation(), generation);
+  EXPECT_EQ((*hub)->last_committed_epoch(), epoch);
+  ExpectHubContents(hub->get());
 }
 
 TEST(StorageHubTest, ReshardMovesEveryKeyAndMergesReplicas) {

@@ -227,20 +227,6 @@ TEST(ContainmentTest, ThrownStageFailsOnlyItsDocument) {
   EXPECT_EQ(monitor.stats().notifications, 4u);
 }
 
-TEST(ContainmentTest, ContainmentOffRestoresDieOnThrow) {
-  const std::string faulty = "http://w1.example.org/bad.xml";
-  StageFaultInjector injector(
-      StageFaultPlan{{{StageKind::kIngest, faulty, 1, StageFaultKind::kThrow}}});
-  SimClock clock(1000);
-  XylemeMonitor::Options options;
-  options.stage_faults = &injector;
-  options.fault_containment = false;
-  XylemeMonitor monitor(&clock, options);
-  // 1-shard pipelines run inline on the caller thread, so the uncontained
-  // exception propagates out of ProcessFetch — the seed's behaviour.
-  EXPECT_THROW(monitor.ProcessFetch(faulty, "<p>v1</p>"), std::runtime_error);
-}
-
 // --------------------------------------------------------- poison tracker --
 
 TEST(PoisonTest, RepeatOffenderIsQuarantinedAndRestartClearsIt) {

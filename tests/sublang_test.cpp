@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/sublang/cost_model.h"
 #include "src/sublang/parser.h"
@@ -437,6 +438,113 @@ TEST(SublangParserTest, FuzzedInputsNeverCrash) {
     }
     (void)ParseSubscription(soup);
   }
+}
+
+// A subscription with the clauses kMyXyleme lacks: a disjunction with an
+// element condition, a triggered continuous delta query, a virtual
+// reference and a full report clause.
+constexpr char kDealsWatch[] = R"(
+subscription DealsWatch
+monitoring Deals
+select <Deal url=URL/>
+where URL extends "http://shop.example/" and new Product contains "sale"
+  or DTD = "http://shop.example/catalog.dtd" and price strict contains "off"
+continuous delta Trend
+select p/name from shop//Product p where p/price contains "9"
+when DealsWatch.Deals
+virtual MyXyleme.Member
+report
+select X from self//Deal X
+when count(Deals) >= 5 or daily
+atmost 100
+archive weekly
+)";
+
+// Everything the parser decided about one input, as text: the error, or
+// for an accepted input its name, each query's select kind, every
+// disjunct's condition keys, the continuous queries, the refresh hints, the
+// virtual references, the report spec and the validator's verdict.
+std::string ParseOutcome(std::string_view input) {
+  auto parsed = ParseSubscription(input);
+  if (!parsed.ok()) return parsed.status().ToString();
+  const SubscriptionAst& sub = *parsed;
+  std::string out = "OK " + sub.name + "\n";
+  for (const MonitoringQueryAst& m : sub.monitoring) {
+    out += "M " + m.name + " " +
+           std::to_string(static_cast<int>(m.select.kind)) + "\n";
+    for (const auto& disjunct : m.disjuncts) {
+      out += " |";
+      for (const Condition& c : disjunct) out += " " + c.Key();
+      out += "\n";
+    }
+  }
+  for (const ContinuousQueryAst& c : sub.continuous) {
+    out += "C " + c.name + (c.delta ? " delta " : " ") + c.query_text + " @" +
+           (c.frequency ? FrequencyName(*c.frequency) : "-") + " " +
+           c.trigger_subscription + "." + c.trigger_query + "\n";
+  }
+  for (const RefreshAst& r : sub.refresh) {
+    out += "F " + r.url + " " + FrequencyName(r.frequency) + "\n";
+  }
+  for (const VirtualRef& v : sub.virtuals) {
+    out += "U " + v.subscription + "." + v.query + "\n";
+  }
+  if (sub.report.has_value()) {
+    const ReportSpec& r = *sub.report;
+    out += "R " + r.query_text;
+    for (const ReportCondition::Atom& a : r.when.atoms) {
+      out += " [" + std::to_string(static_cast<int>(a.kind)) + " " +
+             std::to_string(static_cast<int>(a.cmp)) + " " +
+             std::to_string(a.count) + " " + a.query_name + " " +
+             FrequencyName(a.frequency) + "]";
+    }
+    out += " atmost=" +
+           (r.atmost_count ? std::to_string(*r.atmost_count) : "-") + "/" +
+           (r.atmost_rate ? FrequencyName(*r.atmost_rate) : "-") +
+           " archive=" + (r.archive ? FrequencyName(*r.archive) : "-") +
+           (r.publish_web ? " publish" : "") + "\n";
+  }
+  out += "V " + Validate(sub).ToString();
+  return out;
+}
+
+TEST(SublangParserTest, MutatedSubscriptionOutcomesArePinned) {
+  // Seeded mutations of two subscriptions, each input with 1-3 edits: a bit
+  // flip, a truncation, or an inserted punctuation character. Every outcome
+  // feeds one pinned digest, so a parser change must accept, reject,
+  // report and build the AST exactly as before.
+  ASSERT_TRUE(Validate(MustParse(kMyXyleme)).ok());
+  ASSERT_TRUE(Validate(MustParse(kDealsWatch)).ok());
+  static constexpr std::string_view kInserted = "\"<>=.,()\n";
+  Rng rng(20010524);
+  uint64_t digest = kFnvOffset;
+  int accepted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string input = i % 2 == 0 ? kMyXyleme : kDealsWatch;
+    int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits; ++e) {
+      switch (rng.Uniform(3)) {
+        case 0:
+          if (!input.empty()) {
+            input[rng.Uniform(input.size())] ^=
+                static_cast<char>(1u << rng.Uniform(8));
+          }
+          break;
+        case 1:
+          input.resize(rng.Uniform(input.size() + 1));
+          break;
+        default:
+          input.insert(rng.Uniform(input.size() + 1), 1,
+                       kInserted[rng.Uniform(kInserted.size())]);
+          break;
+      }
+    }
+    const std::string outcome = ParseOutcome(input);
+    if (outcome.starts_with("OK ")) ++accepted;
+    digest = HashCombine(digest, Fnv1a(outcome));
+  }
+  EXPECT_EQ(accepted, 523);
+  EXPECT_EQ(digest, 0xcd2b445545ee011bull);
 }
 
 // --------------------------------------------------------------- Template --

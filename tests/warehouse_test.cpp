@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 
+#include "src/storage/persistent_map.h"
 #include "src/warehouse/warehouse.h"
 #include "src/xml/parser.h"
 
@@ -258,7 +260,20 @@ class WarehousePersistenceTest : public ::testing::Test {
     std::filesystem::remove(path_);
   }
   void TearDown() override { std::filesystem::remove(path_); }
+
+  /// Opens the store at path_ and attaches `wh` to it, as the StorageHub
+  /// attaches a partition. The previous store closes first, as it would in
+  /// a restarted process.
+  void Attach(Warehouse* wh) {
+    store_.reset();
+    auto store = storage::PersistentMap::Open(path_.string());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    store_.emplace(std::move(store).value());
+    ASSERT_TRUE(wh->AttachStore(&*store_).ok());
+  }
+
   std::filesystem::path path_;
+  std::optional<storage::PersistentMap> store_;
 };
 
 TEST_F(WarehousePersistenceTest, DocumentsAndMetadataSurviveRestart) {
@@ -267,7 +282,7 @@ TEST_F(WarehousePersistenceTest, DocumentsAndMetadataSurviveRestart) {
   uint64_t product_xid;
   {
     Warehouse wh;
-    ASSERT_TRUE(wh.AttachStorage(path_).ok());
+    Attach(&wh);
     auto r = wh.Ingest({"http://shop/c.xml", kCatalogV1}, 100);
     docid = r.meta.docid;
     dtdid = r.meta.dtdid;
@@ -275,7 +290,7 @@ TEST_F(WarehousePersistenceTest, DocumentsAndMetadataSurviveRestart) {
     wh.Ingest({"http://h/", "not xml <"}, 200);
   }
   Warehouse wh;
-  ASSERT_TRUE(wh.AttachStorage(path_).ok());
+  Attach(&wh);
   EXPECT_EQ(wh.document_count(), 2u);
   const DocMeta* meta = wh.GetMeta("http://shop/c.xml");
   ASSERT_NE(meta, nullptr);
@@ -296,11 +311,11 @@ TEST_F(WarehousePersistenceTest, DocumentsAndMetadataSurviveRestart) {
 TEST_F(WarehousePersistenceTest, ChangeDetectionContinuesAfterRestart) {
   {
     Warehouse wh;
-    ASSERT_TRUE(wh.AttachStorage(path_).ok());
+    Attach(&wh);
     wh.Ingest({"http://shop/c.xml", kCatalogV1}, 100);
   }
   Warehouse wh;
-  ASSERT_TRUE(wh.AttachStorage(path_).ok());
+  Attach(&wh);
   // Same content: unchanged (signature recovered).
   EXPECT_EQ(wh.Ingest({"http://shop/c.xml", kCatalogV1}, 200).meta.status,
             DocStatus::kUnchanged);
@@ -319,12 +334,12 @@ TEST_F(WarehousePersistenceTest, ChangeDetectionContinuesAfterRestart) {
 TEST_F(WarehousePersistenceTest, CountersDoNotRegress) {
   {
     Warehouse wh;
-    ASSERT_TRUE(wh.AttachStorage(path_).ok());
+    Attach(&wh);
     wh.Ingest({"http://a/", "<a/>"}, 1);
     wh.Ingest({"http://b/", kCatalogV1}, 1);
   }
   Warehouse wh;
-  ASSERT_TRUE(wh.AttachStorage(path_).ok());
+  Attach(&wh);
   auto c = wh.Ingest({"http://c/", "<c/>"}, 2);
   // Fresh DOCIDs continue past the recovered ones.
   EXPECT_GT(c.meta.docid, wh.GetMeta("http://b/")->docid);
@@ -336,12 +351,12 @@ TEST_F(WarehousePersistenceTest, CountersDoNotRegress) {
 TEST_F(WarehousePersistenceTest, DeletionPersists) {
   {
     Warehouse wh;
-    ASSERT_TRUE(wh.AttachStorage(path_).ok());
+    Attach(&wh);
     wh.Ingest({"http://d/", "<a/>"}, 1);
     ASSERT_TRUE(wh.MarkDeleted("http://d/", 2).ok());
   }
   Warehouse wh;
-  ASSERT_TRUE(wh.AttachStorage(path_).ok());
+  Attach(&wh);
   ASSERT_NE(wh.GetMeta("http://d/"), nullptr);
   EXPECT_EQ(wh.GetMeta("http://d/")->status, DocStatus::kDeleted);
   EXPECT_TRUE(wh.DocumentsInDomain("").empty());
